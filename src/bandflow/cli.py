@@ -5,8 +5,10 @@ grid, and contrast the band-preserving generator with Wegner's.
 All numeric CSV output uses repr() formatting, the shortest decimal string
 that round-trips to the same float, so emitted files re-parse bit-exactly.
 
-Exit codes: 0 success/converged, 2 flow not converged, 3 input error,
-4 truncation certification failure.
+Exit codes: 0 success/converged; 2 flow not converged, either because it
+reached ell_max or because it stalled (the step size underflowed; a
+one-line message goes to stderr); 3 input error, reported as one line on
+stderr; 4 truncation certification failure.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import analytics, models
 from .band import BandedSymmetricMatrix, read_matrix
-from .flow import FlowConfig, FlowResult, GeneratorKind, integrate_flow
+from .flow import FlowConfig, FlowResult, GeneratorKind, StiffFlowError, integrate_flow
 from .models import LipkinParams, SpinBosonParams, TruncationError
 from .oracle import eigenvalues_dense, eigenvalues_tridiag
 
@@ -143,10 +145,14 @@ def cmd_flow(args) -> int:
         print(f"error: {args.matrix}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    snapshot_ells = _parse_ells(args.snapshot_ells) if args.snapshot_ells else ()
     record_steps = args.trace_at == "steps"
-    config = _flow_config(args, snapshot_ells=snapshot_ells, record_steps=record_steps)
-    result = integrate_flow(h0, config)
+    try:
+        snapshot_ells = _parse_ells(args.snapshot_ells) if args.snapshot_ells else ()
+        config = _flow_config(args, snapshot_ells=snapshot_ells, record_steps=record_steps)
+        result = integrate_flow(h0, config)
+    except ValueError as exc:  # bad flags, or a Wegner flow over its size cap
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     if args.trace_out:
         n = h0.dim
@@ -319,19 +325,22 @@ def _fig1_point(task) -> tuple[float, list[tuple[int, float]], bool]:
 
 
 def cmd_fig1(args) -> int:
+    flow_kwargs = dict(
+        rel_tol=args.rtol, abs_tol=args.atol, convergence_tol=args.conv_tol,
+        ell_max=args.ell_max,
+    )
+    # Validate here, where an error is one line: the points run in worker processes.
     try:
         n_list = _parse_levels(args.n_list)
         if args.grid_points < 2:
             raise ValueError("grid must have at least 2 points")
+        SpinBosonParams(delta=args.delta_max, lam=args.lambda_over_omega, omega=1.0)
+        FlowConfig(**flow_kwargs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     grid = np.linspace(0.0, args.delta_max, args.grid_points)
-    flow_kwargs = dict(
-        rel_tol=args.rtol, abs_tol=args.atol, convergence_tol=args.conv_tol,
-        ell_max=args.ell_max,
-    )
     tasks = [(float(d), args.lambda_over_omega, tuple(n_list), flow_kwargs) for d in grid]
     workers = _threads(len(tasks))
     try:
@@ -387,19 +396,27 @@ def cmd_compare_generators(args) -> int:
         print("error: comparison mode is capped at N <= 64", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.snapshot_ells:
-        ells = _parse_ells(args.snapshot_ells)
-    else:
-        fro2 = h0.frobenius_norm_sq()
-        ells = tuple(s / fro2 for s in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0))
+    try:
+        if args.snapshot_ells:
+            ells = _parse_ells(args.snapshot_ells)
+        else:
+            fro2 = h0.frobenius_norm_sq()
+            ells = tuple(s / fro2 for s in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0))
+        configs = [
+            FlowConfig(
+                generator=gen, rel_tol=args.rtol, abs_tol=args.atol,
+                convergence_tol=args.conv_tol, ell_max=args.ell_max, snapshot_ells=ells,
+            )
+            for gen in (GeneratorKind.MIELKE, GeneratorKind.WEGNER)
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     status = EXIT_OK
     rows = []
-    for gen in (GeneratorKind.MIELKE, GeneratorKind.WEGNER):
-        config = FlowConfig(
-            generator=gen, rel_tol=args.rtol, abs_tol=args.atol,
-            convergence_tol=args.conv_tol, ell_max=args.ell_max, snapshot_ells=ells,
-        )
+    for config in configs:
+        gen = config.generator
         result = integrate_flow(h0, config)
         if not result.converged:
             status = EXIT_NOT_CONVERGED
@@ -482,7 +499,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "branch", None) is not None:
         args.branch = +1 if args.branch == "+" else -1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StiffFlowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 def entry() -> None:  # console-script hook

@@ -14,10 +14,23 @@ coupling across a block boundary has decayed below a budgeted threshold
 (and the boundary is correctly ordered), those couplings are set to zero
 and the blocks continue independently, each with its own step size.  The
 total perturbation is kept below half the convergence tolerance.
+
+The integrator is the DOP853 pair (see :mod:`bandflow.ode`).  It replaced
+Dormand-Prince 5(4) because at the default rel_tol of 1e-10 the step is
+limited by accuracy, not stability, so the 8th-order step needs about a
+quarter of the steps and half the RHS evaluations per flow.
+
+Every flow runs on H / 2^k, with 2^k the binary exponent of max|h_nm|, so
+that squared entries and norms neither overflow nor underflow at any
+representable scale.  The flow is covariant under that rescaling (ell
+carries units of 1/energy, 1/energy^2 for Wegner's generator) and scaling
+by a power of two is exact, so results are mapped back exactly; abs_tol
+is taken in units of 2^k.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from collections import deque
@@ -26,12 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .band import BandedSymmetricMatrix, boundary_coupling_sq
-from .ode import Dopri54, StepSizeUnderflow
+from .ode import Dop853 as Dopri54  # perfbench/tracing.py patches this name
+from .ode import StepSizeUnderflow
 
 __all__ = [
     "GeneratorKind",
     "FlowConfig",
     "FlowResult",
+    "FlowStats",
     "ConservationReport",
     "TraceRow",
     "StiffFlowError",
@@ -72,6 +87,9 @@ class StiffFlowError(RuntimeError):
         self.frob_sq = frob_sq
         self.offdiag_sq = offdiag_sq
 
+    def __reduce__(self):  # rebuild from the fields, e.g. across a process pool
+        return type(self), (self.ell, self.frob_sq, self.offdiag_sq)
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -82,7 +100,9 @@ class FlowConfig:
     unless the final spectrum has pathologically close gaps.  The flow
     parameter carries units of inverse energy for the sign generator (the
     Wegner generator scales as inverse energy squared), so ell_max should be
-    scaled accordingly when overridden.
+    scaled accordingly when overridden.  abs_tol is in units of 2^k, the
+    binary exponent of max|h_nm| (see :func:`integrate_flow`), so the
+    per-step tolerance scales with the matrix.
     """
 
     generator: GeneratorKind = GeneratorKind.MIELKE
@@ -136,6 +156,25 @@ class TraceRow:
     diag: np.ndarray
 
 
+@dataclass(frozen=True)
+class FlowStats:
+    """Work done by one flow.  Counts only, so equal inputs give equal stats.
+
+    n_tasks counts block integrations that built a stepper (blocks that
+    arrive converged cost nothing and are not counted); n_deflations counts
+    block boundaries zeroed.  Every attempted step costs 12 RHS evaluations,
+    every stepper one more, and every automatic initial-step estimate one
+    more; only the input's irreducible blocks estimate their first step,
+    blocks split off later inherit it.
+    """
+
+    n_rhs: int = 0
+    n_accepted: int = 0
+    n_rejected: int = 0
+    n_tasks: int = 0
+    n_deflations: int = 0
+
+
 @dataclass
 class FlowResult:
     final: BandedSymmetricMatrix | np.ndarray
@@ -144,6 +183,7 @@ class FlowResult:
     snapshots: list[tuple[float, BandedSymmetricMatrix | np.ndarray]]
     diagnostics: ConservationReport
     step_trace: list[TraceRow] = field(default_factory=list)
+    stats: FlowStats = field(default_factory=FlowStats)
 
 
 # -- generators and right-hand sides ------------------------------------------
@@ -318,6 +358,8 @@ class _BandedFlow:
         self.converged = True
         self.ell_final = 0.0
         self._final_bands = h0.copy_bands()
+        self.n_rhs = self.n_accepted = self.n_rejected = 0
+        self.n_tasks = self.n_deflations = 0
         if config.record_steps:
             self._step_diag = e0[0].copy()
 
@@ -392,6 +434,7 @@ class _BandedFlow:
                     if s > ell:
                         self.snap_bands[s][j][start + a] = 0.0
         self.report.frobenius_drift += removed / max(self.frob0_sq, 1e-300)
+        self.n_deflations += 1
 
     # -- main loop ----------------------------------------------------------
 
@@ -428,6 +471,8 @@ class _BandedFlow:
             snapshots=snapshots,
             diagnostics=self.report,
             step_trace=self.step_rows,
+            stats=FlowStats(self.n_rhs, self.n_accepted, self.n_rejected,
+                            self.n_tasks, self.n_deflations),
         )
 
     def _run_task(self, task: _Task, tasks: deque) -> None:
@@ -462,6 +507,7 @@ class _BandedFlow:
         if _rhs_kernel is not None:
 
             def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
+                self.n_rhs += 1
                 out = np.empty_like(y)
                 _rhs_kernel(y, out, nb, mb)
                 return out
@@ -469,6 +515,7 @@ class _BandedFlow:
         else:  # pragma: no cover - numpy fallback
 
             def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
+                self.n_rhs += 1
                 e = [y[s] for s in slices]
                 out = np.empty_like(y)
                 _banded_rhs_inplace(e, [out[s] for s in slices], nb, mb)
@@ -498,6 +545,7 @@ class _BandedFlow:
             scale=frob,
             first_step=task.h0,
         )
+        self.n_tasks += 1
         if cfg.record_steps and not self.step_rows:
             self._emit_step_row(task.ell, task.start, [y0[s] for s in slices])
 
@@ -510,6 +558,8 @@ class _BandedFlow:
         since_scan = 0
 
         def close_stats() -> None:
+            self.n_accepted += stepper.n_accepted
+            self.n_rejected += stepper.n_rejected
             self.report.trace_drift += max_tr
             self.report.frobenius_drift += max_fr / max(self.frob0_sq, 1e-300)
             self.report.partial_trace_violation = max(
@@ -581,16 +631,23 @@ def _flow_dense_wegner(h0: BandedSymmetricMatrix, config: FlowConfig) -> FlowRes
         # Wegner's flow parameter scales as inverse energy squared.
         ell_max = 1e5 * n / spread**2 if spread > 0 else 1.0
 
+    n_rhs = 0
+
     def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
+        nonlocal n_rhs
+        n_rhs += 1
         h = y.reshape(n, n)
         r = wegner_rhs(h)
         r = 0.5 * (r + r.T)  # keep roundoff asymmetry out of the state
         return r.ravel()
 
+    off_mask = ~np.eye(n, dtype=bool)
+
     def off_sq_of(y: np.ndarray) -> float:
-        h = y.reshape(n, n)
-        d = np.diag(h)
-        return float(np.sum(h * h) - np.dot(d, d))
+        # summed directly: ||H||^2 - ||diag||^2 cancels to roundoff (~eps ||H||^2),
+        # far above the convergence threshold convergence_tol^2 ||H||^2
+        off = y.reshape(n, n)[off_mask]
+        return float(np.dot(off, off))
 
     report = ConservationReport()
     rows: list[TraceRow] = []
@@ -651,7 +708,14 @@ def _flow_dense_wegner(h0: BandedSymmetricMatrix, config: FlowConfig) -> FlowRes
         snapshots=snapshots,
         diagnostics=report,
         step_trace=rows,
+        stats=FlowStats(n_rhs, stepper.n_accepted, stepper.n_rejected, 1, 0),
     )
+
+
+def _ldexp(x, e: int):
+    """x * 2^e (exact), saturating to 0 or inf outside the float range."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(x, e)
 
 
 def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) -> FlowResult:
@@ -660,12 +724,64 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
     Returns a :class:`FlowResult` whose ``final`` matrix satisfies
     offdiag_norm_sq <= convergence_tol**2 * frobenius_norm_sq when
     ``converged`` is set.  Hitting ell_max first is reported through the
-    flag, not an exception.
+    flag, not an exception.  For any integer j, flowing 2^j h0 with ell_max
+    and snapshot ells scaled by 2^-j (2^-2j for Wegner) returns 2^j times
+    the same matrices, bit for bit.
     """
     config = config or FlowConfig()
-    if config.generator is GeneratorKind.WEGNER:
-        return _flow_dense_wegner(h0, config)
-    return _BandedFlow(h0, config).run()
+    wegner = config.generator is GeneratorKind.WEGNER
+    # Flow H / 2^k with max|h_nm| / 2^k in [0.5, 1); ell scales as 2^k
+    # (2^2k for Wegner).
+    bands = [h0.band(j) for j in range(h0.bandwidth + 1)]
+    k = int(np.frexp(max(float(np.max(np.abs(b))) for b in bands))[1])
+    k_ell = 2 * k if wegner else k
+    scaled_ells = tuple(float(_ldexp(s, k_ell)) for s in config.snapshot_ells)
+    scaled = dataclasses.replace(
+        config,
+        ell_max=None if config.ell_max is None else float(_ldexp(config.ell_max, k_ell)),
+        snapshot_ells=scaled_ells,
+    )
+    h = BandedSymmetricMatrix(h0.dim, h0.bandwidth, [_ldexp(b, -k) for b in bands])
+    try:
+        res = _flow_dense_wegner(h, scaled) if wegner else _BandedFlow(h, scaled).run()
+    except StiffFlowError as exc:
+        raise StiffFlowError(
+            float(_ldexp(exc.ell, -k_ell)),
+            float(_ldexp(exc.frob_sq, 2 * k)),
+            float(_ldexp(exc.offdiag_sq, 2 * k)),
+        ) from exc.__cause__
+
+    def unscale(mat):
+        if isinstance(mat, BandedSymmetricMatrix):
+            return BandedSymmetricMatrix(
+                mat.dim, mat.bandwidth, [_ldexp(mat.band(j), k) for j in range(mat.bandwidth + 1)]
+            )
+        return _ldexp(mat, k)
+
+    original_ell = dict(zip(scaled_ells, config.snapshot_ells))
+    d = res.diagnostics
+    return FlowResult(
+        final=unscale(res.final),
+        ell_final=float(_ldexp(res.ell_final, -k_ell)),
+        converged=res.converged,
+        snapshots=[(original_ell[ell], unscale(mat)) for ell, mat in res.snapshots],
+        diagnostics=ConservationReport(
+            trace_drift=float(_ldexp(d.trace_drift, k)),
+            frobenius_drift=d.frobenius_drift,
+            partial_trace_violation=float(_ldexp(d.partial_trace_violation, k)),
+        ),
+        step_trace=[
+            TraceRow(
+                float(_ldexp(r.ell, -k_ell)),
+                float(_ldexp(r.trace, k)),
+                float(_ldexp(r.frob_sq, 2 * k)),
+                float(_ldexp(r.offdiag_sq, 2 * k)),
+                _ldexp(r.diag, k),
+            )
+            for r in res.step_trace
+        ],
+        stats=res.stats,
+    )
 
 
 def _entry(matrix: BandedSymmetricMatrix | np.ndarray, n: int, m: int) -> float:

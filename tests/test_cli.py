@@ -3,8 +3,10 @@ import io
 import numpy as np
 import pytest
 
+from bandflow import cli
 from bandflow.band import make_banded, write_matrix
 from bandflow.cli import main
+from bandflow.flow import StiffFlowError
 
 SQRT3 = 1.7320508075688772
 
@@ -254,3 +256,46 @@ class TestUsageErrors:
             main([])
         capsys.readouterr()
         assert info.value.code == 3
+
+
+class TestExitCodes:
+    """Bad input exits 3 with one line on stderr; a stalled flow exits 2."""
+
+    def _one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--rtol", "-1"],
+        ["--snapshot-ells", "2,x"],
+    ])
+    def test_flow_bad_flags(self, tmp_path, capsys, flags):
+        path = write_file(tmp_path, "m.txt", make_banded(2, 1, {(0, 1): 1.0}))
+        assert main(["flow", path, *flags]) == 3
+        self._one_line_error(capsys)
+
+    def test_flow_wegner_over_cap(self, tmp_path, capsys):
+        h = make_banded(300, 1, {(i, i + 1): 1.0 for i in range(299)})
+        rc = main(["flow", write_file(tmp_path, "big.txt", h), "--generator", "wegner"])
+        assert rc == 3
+        self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("flags", [["--delta-max", "-1"], ["--rtol", "-1"]])
+    def test_fig1_bad_flags(self, capsys, monkeypatch, flags):
+        monkeypatch.setenv("BANDFLOW_THREADS", "2")
+        rc = main(["fig1", "--n-list", "2", "--grid-points", "2", *flags])
+        assert rc == 3
+        self._one_line_error(capsys)
+
+    def test_stalled_flow_exit_2(self, tmp_path, capsys, monkeypatch):
+        def stall(h0, config=None):
+            raise StiffFlowError(0.5, 2.0, 1e-3)
+
+        monkeypatch.setattr(cli, "integrate_flow", stall)
+        path = write_file(tmp_path, "m.txt", make_banded(2, 1, {(0, 1): 1.0}))
+        assert main(["flow", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: flow integration stalled at ell=0.5 " \
+            "(frob_sq=2, offdiag_sq=0.001)\n"
+        assert "final_diagonal" not in captured.out

@@ -1,10 +1,18 @@
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bandflow import ode
 from bandflow.band import BandedSymmetricMatrix, make_banded, split_irreducible
 from bandflow.flow import (
     FlowConfig,
+    FlowStats,
     GeneratorKind,
+    StiffFlowError,
     decay_rate_estimate,
     integrate_flow,
     mielke_eta,
@@ -12,7 +20,7 @@ from bandflow.flow import (
     wegner_eta,
     wegner_rhs,
 )
-from bandflow.ode import Dopri54, StepSizeUnderflow
+from bandflow.ode import Dop853, StepSizeUnderflow
 from bandflow.oracle import eigenvalues_dense
 
 SQRT3 = 1.7320508075688772
@@ -29,9 +37,44 @@ def tridiag123():
     return make_banded(3, 1, {(0, 0): 1, (1, 1): 2, (2, 2): 3, (0, 1): 1, (1, 2): 1})
 
 
+class TestTableau:
+    """Order conditions on the transcribed DOP853 coefficients."""
+
+    def test_row_sums_are_nodes(self):
+        for i, row in enumerate(ode._A):
+            assert row.size == i
+            assert row.sum() == pytest.approx(ode._C[i], abs=1e-14)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_quadrature_conditions(self, q):
+        # sum_i b_i c_i^(q-1) = 1/q: the bushy-tree conditions up to order 8
+        assert ode._B @ ode._C ** (q - 1) == pytest.approx(1.0 / q, abs=1e-14)
+
+    def test_error_weights_sum_to_zero(self):
+        # both embedded solutions are consistent, so their differences from
+        # the 8th-order weights integrate constants exactly
+        assert ode._E5.sum() == pytest.approx(0.0, abs=1e-14)
+        assert ode._E3.sum() == pytest.approx(0.0, abs=1e-14)
+
+    def test_observed_global_order(self):
+        # y' = -y over [0, 8] on a fixed grid: loose tolerances never reject,
+        # max_step and the caps pin every step to the grid spacing
+        def global_error(spacing):
+            stepper = Dop853(lambda t, y: -y, 0.0, np.array([1.0]), rel_tol=1e-3,
+                             abs_tol=1e-3, max_step=spacing, first_step=spacing)
+            n = round(8.0 / spacing)
+            for j in range(1, n + 1):
+                stepper.step(j * spacing)
+                assert stepper.t == j * spacing
+            assert (stepper.n_accepted, stepper.n_rejected) == (n, 0)
+            return abs(stepper.y[0] - math.exp(-8.0))
+
+        assert global_error(1.0) / global_error(0.5) >= 2.0**7.5
+
+
 class TestStepper:
     def test_exponential_decay(self):
-        stepper = Dopri54(lambda t, y: -y, 0.0, np.array([1.0]), rel_tol=1e-11, abs_tol=1e-13)
+        stepper = Dop853(lambda t, y: -y, 0.0, np.array([1.0]), rel_tol=1e-11, abs_tol=1e-13)
         while stepper.t < 5.0:
             stepper.step(5.0)
         assert stepper.t == 5.0  # caps are hit exactly
@@ -41,14 +84,14 @@ class TestStepper:
         def rhs(_t, y):
             return np.array([y[1], -y[0]])
 
-        stepper = Dopri54(rhs, 0.0, np.array([1.0, 0.0]), rel_tol=1e-12, abs_tol=1e-14)
+        stepper = Dop853(rhs, 0.0, np.array([1.0, 0.0]), rel_tol=1e-12, abs_tol=1e-14)
         while stepper.t < 2 * np.pi:
             stepper.step(2 * np.pi)
         np.testing.assert_allclose(stepper.y, [1.0, 0.0], atol=1e-9)
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
-            Dopri54(lambda t, y: -y, 0.0, np.array([1.0]), rel_tol=0.0)
+            Dop853(lambda t, y: -y, 0.0, np.array([1.0]), rel_tol=0.0)
 
     def test_underflow_at_singularity(self):
         # y' = y / (1 - t) blows up at t = 1; the controller must give up
@@ -56,7 +99,7 @@ class TestStepper:
         def rhs(t, y):
             return y / (1.0 - t)
 
-        stepper = Dopri54(rhs, 0.0, np.array([1.0]))
+        stepper = Dop853(rhs, 0.0, np.array([1.0]))
         with pytest.raises(StepSizeUnderflow) as info:
             for _ in range(100000):
                 stepper.step(2.0)
@@ -223,6 +266,16 @@ class TestIntegrateFlow:
         ev = eigenvalues_dense(h.to_dense()).eigenvalues
         np.testing.assert_allclose(np.sort(np.diag(res.final)), ev, atol=1e-8)
 
+    def test_wegner_converged_meets_contract(self):
+        # the off-diagonal norm must be summed, not taken as ||H||^2 -
+        # ||diag||^2: that difference bottoms out at roundoff (~1e-15 here),
+        # far above the threshold, and reaches it only by chance
+        res = integrate_flow(random_banded(0, 5, 3), FlowConfig(generator=GeneratorKind.WEGNER))
+        assert res.converged
+        h = res.final
+        off_sq = float(np.sum((h - np.diag(np.diag(h))) ** 2))
+        assert off_sq <= 1e-20 * float(np.sum(h * h))
+
     def test_wegner_fill_in_outside_band(self):
         h = make_banded(3, 1, {(0, 0): 1, (1, 1): 2, (2, 2): 4, (0, 1): 1, (1, 2): 1})
         fro2 = h.frobenius_norm_sq()
@@ -246,6 +299,77 @@ class TestIntegrateFlow:
             FlowConfig(snapshot_ells=(2.0, 1.0))
         with pytest.raises(ValueError):
             FlowConfig(ell_max=0.0)
+
+
+class TestScaleAndStats:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_two_level_at_extreme_scales(self, scale):
+        # squares of these entries overflow / underflow unless the flow
+        # runs on a rescaled matrix
+        h = make_banded(2, 1, {(0, 0): scale, (1, 1): 2 * scale, (0, 1): scale})
+        res = integrate_flow(h)
+        assert res.converged and res.ell_final > 0.0
+        root5 = math.sqrt(5.0)
+        np.testing.assert_allclose(
+            res.final.diagonal(), [(3 - root5) / 2 * scale, (3 + root5) / 2 * scale],
+            rtol=1e-9,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(-300, 300),
+        wegner=st.booleans(),
+    )
+    def test_power_of_two_covariance(self, n, m, seed, j, wegner):
+        m = min(m, n - 1)
+        h = random_banded(seed, n, m)
+        h2 = BandedSymmetricMatrix(n, m, [np.ldexp(h.band(k), j) for k in range(m + 1)])
+        gen = GeneratorKind.WEGNER if wegner else GeneratorKind.MIELKE
+        j_ell = 2 * j if wegner else j
+        # ell_max bounds the work: a near-degenerate Wegner flow is slow
+        ells, ell_max = (0.25, 1.0), 20.0
+        res = integrate_flow(h, FlowConfig(generator=gen, ell_max=ell_max, snapshot_ells=ells))
+        res2 = integrate_flow(h2, FlowConfig(
+            generator=gen, ell_max=np.ldexp(ell_max, -j_ell),
+            snapshot_ells=tuple(np.ldexp(e, -j_ell) for e in ells)))
+
+        def dense(mat):
+            return mat if isinstance(mat, np.ndarray) else mat.to_dense()
+
+        assert res2.converged == res.converged
+        assert res2.ell_final == np.ldexp(res.ell_final, -j_ell)
+        assert np.array_equal(dense(res2.final), np.ldexp(dense(res.final), j))
+        for (e1, m1), (e2, m2) in zip(res.snapshots, res2.snapshots):
+            assert e2 == np.ldexp(e1, -j_ell)
+            assert np.array_equal(dense(m2), np.ldexp(dense(m1), j))
+        assert res2.stats == res.stats
+
+    @pytest.mark.parametrize("gen", list(GeneratorKind))
+    def test_rhs_count_identity(self, gen):
+        # an irreducible input estimates its initial step once; every other
+        # evaluation belongs to a stepper's construction or to a step
+        h = random_banded(5, 30, 2) if gen is GeneratorKind.MIELKE else tridiag123()
+        stats = integrate_flow(h, FlowConfig(generator=gen)).stats
+        assert stats.n_tasks >= 1 and stats.n_accepted > 0
+        attempts = stats.n_accepted + stats.n_rejected
+        assert stats.n_rhs == 12 * attempts + stats.n_tasks + 1
+        if gen is GeneratorKind.MIELKE:
+            assert stats.n_deflations >= 1
+        else:
+            assert (stats.n_tasks, stats.n_deflations) == (1, 0)
+
+    def test_stats_repeat_exactly(self):
+        h = random_banded(6, 40, 3)
+        a, b = integrate_flow(h), integrate_flow(h)
+        assert isinstance(a.stats, FlowStats)
+        assert a.stats == b.stats
+
+    def test_stiff_error_pickles(self):
+        exc = pickle.loads(pickle.dumps(StiffFlowError(1.5, 2.0, 3.0)))
+        assert (exc.ell, exc.frob_sq, exc.offdiag_sq) == (1.5, 2.0, 3.0)
 
 
 class TestDecayRate:
