@@ -171,8 +171,7 @@ def cmd_flow(args) -> int:
             if close:
                 out.close()
 
-    diag = result.final.diagonal() if isinstance(result.final, BandedSymmetricMatrix) else np.diag(result.final)
-    print("final_diagonal " + " ".join(repr(float(d)) for d in diag))
+    print("final_diagonal " + " ".join(repr(float(d)) for d in result.final.diagonal()))
     print(f"ell_final {float(result.ell_final)!r}")
     print(f"converged {int(result.converged)}")
     d = result.diagnostics
@@ -372,12 +371,9 @@ def cmd_fig1(args) -> int:
 # -- compare-generators -------------------------------------------------------
 
 
-def _offset_occupancy(mat, dim: int) -> list[float]:
-    if isinstance(mat, BandedSymmetricMatrix):
-        dense = mat.to_dense()
-    else:
-        dense = np.asarray(mat)
-    return [float(np.max(np.abs(np.diagonal(dense, k)))) for k in range(dim)]
+def _offset_occupancy(mat: BandedSymmetricMatrix) -> list[float]:
+    dense = mat.to_dense()
+    return [float(np.max(np.abs(np.diagonal(dense, k)))) for k in range(mat.dim)]
 
 
 def cmd_compare_generators(args) -> int:
@@ -401,6 +397,9 @@ def cmd_compare_generators(args) -> int:
             ells = _parse_ells(args.snapshot_ells)
         else:
             fro2 = h0.frobenius_norm_sq()
+            if fro2 == 0.0:
+                raise ValueError("default snapshot ells scale by 1/||H||^2, and ||H|| = 0; "
+                                 "pass --snapshot-ells")
             ells = tuple(s / fro2 for s in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0))
         configs = [
             FlowConfig(
@@ -421,7 +420,7 @@ def cmd_compare_generators(args) -> int:
         if not result.converged:
             status = EXIT_NOT_CONVERGED
         for ell, mat in result.snapshots:
-            for offset, occ in enumerate(_offset_occupancy(mat, h0.dim)):
+            for offset, occ in enumerate(_offset_occupancy(mat)):
                 rows.append([gen.value, ell, offset, occ])
     out, close = _open_out(args.out)
     try:

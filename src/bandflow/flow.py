@@ -4,8 +4,11 @@ The sign generator eta_nm = sign(n - m) h_nm drives any bounded-below real
 symmetric matrix to diagonal form while exactly preserving its band profile;
 the right-hand side is evaluated directly on the diagonal-major band storage,
 so entries outside the band never exist at any point of the integration.
-Wegner's classic generator [H_d, H] is also provided, in dense mode only,
-as the contrast case that fills the band in.
+Wegner's classic generator [H_d, H] is also provided as the contrast case
+that fills the band in.  Both generators run through the same driver: a
+Wegner flow is a banded flow at full bandwidth M = N - 1, so its results
+are full-band BandedSymmetricMatrix objects, and it integrates as one
+undeflated system.
 
 Convergence of off-diagonal entries toward zero is asymptotically
 exponential with rate |h_nn(inf) - h_mm(inf)|, so near-degenerate pairs
@@ -33,12 +36,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .band import BandedSymmetricMatrix, boundary_coupling_sq
+from .band import BandedSymmetricMatrix, split_irreducible
 from .ode import Dop853 as Dopri54  # perfbench/tracing.py patches this name
 from .ode import StepSizeUnderflow
 
@@ -102,7 +106,12 @@ class FlowConfig:
     Wegner generator scales as inverse energy squared), so ell_max should be
     scaled accordingly when overridden.  abs_tol is in units of 2^k, the
     binary exponent of max|h_nm| (see :func:`integrate_flow`), so the
-    per-step tolerance scales with the matrix.
+    per-step tolerance scales with the matrix.  Tolerances and ell_max must
+    be finite and positive, snapshot ells finite, non-negative and sorted.
+
+    record_steps logs every accepted step.  Steps mode integrates the whole
+    matrix as one undeflated system (as every Wegner flow does), so it is
+    not the same run as the untraced sign-generator flow.
     """
 
     generator: GeneratorKind = GeneratorKind.MIELKE
@@ -111,18 +120,16 @@ class FlowConfig:
     convergence_tol: float = 1e-10
     ell_max: float | None = None
     snapshot_ells: tuple[float, ...] = ()
-    record_steps: bool = False  # integrate as one system, log every accepted step
-    deflate: bool = True
+    record_steps: bool = False
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "convergence_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.ell_max is not None and self.ell_max <= 0.0:
-            raise ValueError("ell_max must be positive")
+        for name in ("rel_tol", "abs_tol", "convergence_tol", "ell_max"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         ells = tuple(float(s) for s in self.snapshot_ells)
-        if any(s < 0.0 for s in ells):
-            raise ValueError("snapshot ells must be non-negative")
+        if not all(math.isfinite(s) and s >= 0.0 for s in ells):
+            raise ValueError(f"snapshot ells must be finite and non-negative, got {ells!r}")
         if list(ells) != sorted(ells):
             raise ValueError("snapshot_ells must be sorted ascending")
         object.__setattr__(self, "snapshot_ells", ells)
@@ -177,10 +184,11 @@ class FlowStats:
 
 @dataclass
 class FlowResult:
-    final: BandedSymmetricMatrix | np.ndarray
+    # Same bandwidth as the input for the sign generator, M = N - 1 for Wegner's.
+    final: BandedSymmetricMatrix
     ell_final: float
     converged: bool
-    snapshots: list[tuple[float, BandedSymmetricMatrix | np.ndarray]]
+    snapshots: list[tuple[float, BandedSymmetricMatrix]]
     diagnostics: ConservationReport
     step_trace: list[TraceRow] = field(default_factory=list)
     stats: FlowStats = field(default_factory=FlowStats)
@@ -290,18 +298,39 @@ def wegner_rhs(h_dense: np.ndarray) -> np.ndarray:
 # -- integration ---------------------------------------------------------------
 
 
-def _auto_ell_max(diag: np.ndarray, bands_norm1: np.ndarray) -> float:
-    """Generous flow-parameter cap: 1e5 * N / (Gershgorin spread).
+def _wegner_band_rhs(nb: int, mb: int):
+    """Wegner's dH/dl on diagonal-major band storage of a full-band matrix.
 
-    Deflation makes a large cap cheap; the heuristic only needs to exceed
-    ~25 / (smallest final gap) for typical spectra.
+    Scatters the state into a dense symmetric matrix, evaluates
+    :func:`wegner_rhs` and gathers its upper triangle back, so the state
+    stays exactly symmetric.
+    """
+    rows = np.concatenate([np.arange(nb - k) for k in range(mb + 1)])
+    cols = rows + np.repeat(np.arange(mb + 1), nb - np.arange(mb + 1))
+    h = np.zeros((nb, nb))
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        h[rows, cols] = y
+        h[cols, rows] = y
+        return wegner_rhs(h)[rows, cols]
+
+    return rhs
+
+
+def _auto_ell_max(diag: np.ndarray, bands_norm1: np.ndarray, power: int) -> float:
+    """Generous flow-parameter cap: 1e5 * N / (Gershgorin spread)^power.
+
+    power is 1 for the sign generator and 2 for Wegner's, whose flow
+    parameter carries units of inverse energy squared.  Deflation makes a
+    large cap cheap; the heuristic only needs to exceed ~25 / (smallest
+    final gap) for typical spectra.
     """
     lo = float(np.min(diag - bands_norm1))
     hi = float(np.max(diag + bands_norm1))
     spread = hi - lo
     if spread <= 0.0:
         return 1.0
-    return 1e5 * diag.shape[0] / spread
+    return 1e5 * diag.shape[0] / spread**power
 
 
 def _gershgorin_radii(e: list[np.ndarray], n: int, m: int) -> np.ndarray:
@@ -310,6 +339,11 @@ def _gershgorin_radii(e: list[np.ndarray], n: int, m: int) -> np.ndarray:
         radii[: n - j] += np.abs(e[j])
         radii[j:] += np.abs(e[j])
     return radii
+
+
+def _sub_bands(bands: list[np.ndarray], start: int, size: int, m: int) -> list[np.ndarray]:
+    """Private copies of the bands of the diagonal block [start, start + size)."""
+    return [bands[k][start : start + size - k].copy() for k in range(min(m, size - 1) + 1)]
 
 
 @dataclass
@@ -321,18 +355,25 @@ class _Task:
 
 
 class _BandedFlow:
-    """Driver for the sign-generator flow with dynamic block deflation."""
+    """Flow driver for both generators.
+
+    The sign generator flows with dynamic block deflation.  Wegner's
+    generator, whose input arrives widened to M = N - 1, and steps mode
+    integrate the whole matrix as one undeflated system.
+    """
 
     def __init__(self, h0: BandedSymmetricMatrix, config: FlowConfig):
         self.h0 = h0
         self.config = config
         self.n_total = h0.dim
         self.m = h0.bandwidth
+        self.wegner = config.generator is GeneratorKind.WEGNER
+        self.single = self.wegner or config.record_steps
         self.frob0_sq = h0.frobenius_norm_sq()
         frob0 = math.sqrt(self.frob0_sq)
         # Per-block convergence and deflation budgets chosen so the sum over
         # (at most N) blocks stays inside the global convergence contract.
-        blocks_cap = 1 if config.record_steps else h0.dim
+        blocks_cap = 1 if self.single else h0.dim
         self.conv_off_sq = (
             (config.convergence_tol**2) * max(self.frob0_sq, 1e-300) / blocks_cap
         )
@@ -348,9 +389,9 @@ class _BandedFlow:
         if config.ell_max is not None:
             self.ell_max = config.ell_max
         else:
-            self.ell_max = _auto_ell_max(e0[0], _gershgorin_radii(e0, h0.dim, self.m))
-        # step tracing needs one system for the whole flow, so no deflation
-        self._deflate = config.deflate and not config.record_steps
+            self.ell_max = _auto_ell_max(
+                e0[0], _gershgorin_radii(e0, h0.dim, self.m), 2 if self.wegner else 1
+            )
         self.snap_ells = list(config.snapshot_ells)
         self.snap_bands = {s: h0.copy_bands() for s in self.snap_ells}
         self.report = ConservationReport()
@@ -361,7 +402,7 @@ class _BandedFlow:
         self.n_rhs = self.n_accepted = self.n_rejected = 0
         self.n_tasks = self.n_deflations = 0
         if config.record_steps:
-            self._step_diag = e0[0].copy()
+            self._emit_step_row(0.0, e0)
 
     # -- helpers ----------------------------------------------------------
 
@@ -374,14 +415,11 @@ class _BandedFlow:
     def _record_snapshot(self, ell: float, start: int, bands: list[np.ndarray]) -> None:
         self._write_region(self.snap_bands[ell], start, bands)
 
-    def _emit_step_row(self, ell: float, start: int, e: list[np.ndarray]) -> None:
-        # Single-task mode only: the row is the full matrix state.
-        self._step_diag[start : start + e[0].shape[0]] = e[0]
+    def _emit_step_row(self, ell: float, e: list[np.ndarray]) -> None:
+        # Steps mode runs one task, so its bands are the full matrix state.
         off_sq = 2.0 * sum(float(np.dot(b, b)) for b in e[1:])
         frob_sq = float(np.dot(e[0], e[0])) + off_sq
-        self.step_rows.append(
-            TraceRow(ell, float(e[0].sum()), frob_sq, off_sq, self._step_diag.copy())
-        )
+        self.step_rows.append(TraceRow(ell, float(e[0].sum()), frob_sq, off_sq, e[0].copy()))
 
     def _deflation_cuts(self, e: list[np.ndarray], nb: int, mb: int) -> list[int]:
         """Boundaries that may be zeroed now without leaving the error budget.
@@ -394,7 +432,7 @@ class _BandedFlow:
         2 ||B||^2 / sep <= shift_budget valid once ||B|| <= sep/4, with sep
         the certified spectral separation of the blocks.
         """
-        if not self._deflate or nb < 2:
+        if self.single or nb < 2:
             return []
         cross = np.zeros(nb)
         for j in range(1, mb + 1):
@@ -439,22 +477,16 @@ class _BandedFlow:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> FlowResult:
-        cfg = self.config
-        if cfg.record_steps:
+        if self.single:
             tasks = deque([_Task(0, self.h0.copy_bands(), 0.0)])
         else:
             # Exactly-zero couplings split the input up front; the stencil
             # never regenerates them, so each block flows independently.
-            tasks = deque()
             bands0 = [self.h0.band(k) for k in range(self.m + 1)]
-            start = 0
-            for cut in range(1, self.n_total + 1):
-                if cut == self.n_total or boundary_coupling_sq(bands0, cut) == 0.0:
-                    size = cut - start
-                    sub = [bands0[k][start : start + size - k].copy()
-                           for k in range(min(self.m, size - 1) + 1)]
-                    tasks.append(_Task(start, sub, 0.0))
-                    start = cut
+            tasks = deque(
+                _Task(b.start, _sub_bands(bands0, b.start, b.size, self.m), 0.0)
+                for b in split_irreducible(self.h0)
+            )
 
         while tasks:
             self._run_task(tasks.popleft(), tasks)
@@ -504,7 +536,14 @@ class _BandedFlow:
         y0 = np.concatenate(task.bands)
         slices = _band_slices(nb, mb)
 
-        if _rhs_kernel is not None:
+        if self.wegner:
+            wegner = _wegner_band_rhs(nb, mb)
+
+            def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
+                self.n_rhs += 1
+                return wegner(y)
+
+        elif _rhs_kernel is not None:
 
             def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
                 self.n_rhs += 1
@@ -546,8 +585,6 @@ class _BandedFlow:
             first_step=task.h0,
         )
         self.n_tasks += 1
-        if cfg.record_steps and not self.step_rows:
-            self._emit_step_row(task.ell, task.start, [y0[s] for s in slices])
 
         trace0 = float(y0[slices[0]].sum())
         frob0_sq_b = frob(y0) ** 2
@@ -591,7 +628,7 @@ class _BandedFlow:
             max_pt = max(max_pt, float(np.max(cum - prev_cum)))
             prev_cum = cum
             if cfg.record_steps:
-                self._emit_step_row(stepper.t, task.start, e)
+                self._emit_step_row(stepper.t, e)
             if stepper.t in pending and stepper.t < self.ell_max:
                 self._record_snapshot(stepper.t, task.start, e)
                 pending = [s for s in pending if s > stepper.t]
@@ -607,109 +644,9 @@ class _BandedFlow:
                 close_stats()
                 edges = [0] + cuts + [nb]
                 for lo, hi in zip(edges[:-1], edges[1:]):
-                    size = hi - lo
-                    sub = [e[k][lo : lo + size - k].copy()
-                           for k in range(min(mb, size - 1) + 1)]
+                    sub = _sub_bands(e, lo, hi - lo, mb)
                     tasks.append(_Task(task.start + lo, sub, stepper.t, stepper.h))
                 return
-
-
-def _flow_dense_wegner(h0: BandedSymmetricMatrix, config: FlowConfig) -> FlowResult:
-    if h0.dim > _WEGNER_CAP:
-        raise ValueError(
-            f"Wegner generator runs dense and is capped at N <= {_WEGNER_CAP}"
-        )
-    n = h0.dim
-    dense0 = h0.to_dense()
-    frob0_sq = float(np.sum(dense0 * dense0))
-    conv_off_sq = (config.convergence_tol**2) * max(frob0_sq, 1e-300)
-    if config.ell_max is not None:
-        ell_max = config.ell_max
-    else:
-        radii = np.sum(np.abs(dense0), axis=1) - np.abs(np.diag(dense0))
-        spread = float(np.max(np.diag(dense0) + radii) - np.min(np.diag(dense0) - radii))
-        # Wegner's flow parameter scales as inverse energy squared.
-        ell_max = 1e5 * n / spread**2 if spread > 0 else 1.0
-
-    n_rhs = 0
-
-    def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
-        nonlocal n_rhs
-        n_rhs += 1
-        h = y.reshape(n, n)
-        r = wegner_rhs(h)
-        r = 0.5 * (r + r.T)  # keep roundoff asymmetry out of the state
-        return r.ravel()
-
-    off_mask = ~np.eye(n, dtype=bool)
-
-    def off_sq_of(y: np.ndarray) -> float:
-        # summed directly: ||H||^2 - ||diag||^2 cancels to roundoff (~eps ||H||^2),
-        # far above the convergence threshold convergence_tol^2 ||H||^2
-        off = y.reshape(n, n)[off_mask]
-        return float(np.dot(off, off))
-
-    report = ConservationReport()
-    rows: list[TraceRow] = []
-    snap_ells = list(config.snapshot_ells)
-    snapshots: list[tuple[float, np.ndarray]] = []
-    if 0.0 in snap_ells:
-        snapshots.append((0.0, dense0.copy()))
-    stepper = Dopri54(
-        rhs, 0.0, dense0.ravel(), rel_tol=config.rel_tol, abs_tol=config.abs_tol
-    )
-    trace0 = float(np.trace(dense0))
-    max_tr = max_fr = max_pt = 0.0
-    prev_cum = np.cumsum(np.diag(dense0))
-    if config.record_steps:
-        rows.append(TraceRow(0.0, trace0, frob0_sq, off_sq_of(stepper.y), np.diag(dense0).copy()))
-    converged = True
-    while True:
-        if off_sq_of(stepper.y) <= conv_off_sq:
-            break
-        if stepper.t >= ell_max:
-            converged = False
-            break
-        t_cap = min([s for s in snap_ells if s > stepper.t] + [ell_max])
-        try:
-            stepper.step(t_cap)
-        except StepSizeUnderflow as exc:
-            raise StiffFlowError(
-                exc.t, float(np.sum(stepper.y**2)), off_sq_of(stepper.y)
-            ) from exc
-        h = stepper.y.reshape(n, n)
-        d = np.diag(h)
-        max_tr = max(max_tr, abs(float(d.sum()) - trace0))
-        max_fr = max(max_fr, abs(float(np.sum(h * h)) - frob0_sq))
-        cum = np.cumsum(d)
-        max_pt = max(max_pt, float(np.max(cum - prev_cum)))
-        prev_cum = cum
-        if config.record_steps:
-            rows.append(
-                TraceRow(stepper.t, float(d.sum()), float(np.sum(h * h)),
-                         off_sq_of(stepper.y), d.copy())
-            )
-        if stepper.t in snap_ells:
-            snapshots.append((stepper.t, h.copy()))
-
-    final = stepper.y.reshape(n, n).copy()
-    recorded = {se for se, _ in snapshots}
-    for s in snap_ells:
-        if s not in recorded:  # flow stopped first; later snapshots hold the end state
-            snapshots.append((s, final.copy()))
-    snapshots.sort(key=lambda p: p[0])
-    report.trace_drift = max_tr
-    report.frobenius_drift = max_fr / max(frob0_sq, 1e-300)
-    report.partial_trace_violation = max_pt
-    return FlowResult(
-        final=final,
-        ell_final=stepper.t,
-        converged=converged,
-        snapshots=snapshots,
-        diagnostics=report,
-        step_trace=rows,
-        stats=FlowStats(n_rhs, stepper.n_accepted, stepper.n_rejected, 1, 0),
-    )
 
 
 def _ldexp(x, e: int):
@@ -730,20 +667,32 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
     """
     config = config or FlowConfig()
     wegner = config.generator is GeneratorKind.WEGNER
+    n, m = h0.dim, h0.bandwidth
+    bands = [h0.band(j) for j in range(m + 1)]
+    if wegner:  # Wegner's generator fills the band: flow at full bandwidth
+        if n > _WEGNER_CAP:
+            raise ValueError(
+                f"Wegner generator runs dense and is capped at N <= {_WEGNER_CAP}"
+            )
+        bands += [np.zeros(n - j) for j in range(m + 1, n)]
+        m = n - 1
     # Flow H / 2^k with max|h_nm| / 2^k in [0.5, 1); ell scales as 2^k
     # (2^2k for Wegner).
-    bands = [h0.band(j) for j in range(h0.bandwidth + 1)]
     k = int(np.frexp(max(float(np.max(np.abs(b))) for b in bands))[1])
     k_ell = 2 * k if wegner else k
-    scaled_ells = tuple(float(_ldexp(s, k_ell)) for s in config.snapshot_ells)
+
+    def scale_ell(ell: float) -> float:  # an ell past the float range is never reached
+        return min(float(_ldexp(ell, k_ell)), sys.float_info.max)
+
+    scaled_ells = tuple(scale_ell(s) for s in config.snapshot_ells)
     scaled = dataclasses.replace(
         config,
-        ell_max=None if config.ell_max is None else float(_ldexp(config.ell_max, k_ell)),
+        ell_max=None if config.ell_max is None else scale_ell(config.ell_max),
         snapshot_ells=scaled_ells,
     )
-    h = BandedSymmetricMatrix(h0.dim, h0.bandwidth, [_ldexp(b, -k) for b in bands])
+    h = BandedSymmetricMatrix(n, m, [_ldexp(b, -k) for b in bands])
     try:
-        res = _flow_dense_wegner(h, scaled) if wegner else _BandedFlow(h, scaled).run()
+        res = _BandedFlow(h, scaled).run()
     except StiffFlowError as exc:
         raise StiffFlowError(
             float(_ldexp(exc.ell, -k_ell)),
@@ -751,12 +700,8 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
             float(_ldexp(exc.offdiag_sq, 2 * k)),
         ) from exc.__cause__
 
-    def unscale(mat):
-        if isinstance(mat, BandedSymmetricMatrix):
-            return BandedSymmetricMatrix(
-                mat.dim, mat.bandwidth, [_ldexp(mat.band(j), k) for j in range(mat.bandwidth + 1)]
-            )
-        return _ldexp(mat, k)
+    def unscale(mat: BandedSymmetricMatrix) -> BandedSymmetricMatrix:
+        return BandedSymmetricMatrix(n, m, [_ldexp(mat.band(j), k) for j in range(m + 1)])
 
     original_ell = dict(zip(scaled_ells, config.snapshot_ells))
     d = res.diagnostics
@@ -784,20 +729,8 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
     )
 
 
-def _entry(matrix: BandedSymmetricMatrix | np.ndarray, n: int, m: int) -> float:
-    if isinstance(matrix, BandedSymmetricMatrix):
-        return matrix.get(n, m)
-    return float(matrix[n, m])
-
-
-def _frob(matrix: BandedSymmetricMatrix | np.ndarray) -> float:
-    if isinstance(matrix, BandedSymmetricMatrix):
-        return math.sqrt(matrix.frobenius_norm_sq())
-    return float(np.sqrt(np.sum(np.asarray(matrix) ** 2)))
-
-
 def decay_rate_estimate(
-    snapshots: list[tuple[float, BandedSymmetricMatrix | np.ndarray]], n: int, m: int
+    snapshots: list[tuple[float, BandedSymmetricMatrix]], n: int, m: int
 ) -> float:
     """Asymptotic decay rate of |h_nm| from late-flow snapshots.
 
@@ -807,12 +740,8 @@ def decay_rate_estimate(
     """
     if not snapshots:
         raise ValueError("no snapshots supplied")
-    floor = _DECAY_FIT_FLOOR * max(_frob(snapshots[0][1]), 1e-300)
-    pts = [
-        (ell, abs(_entry(mat, n, m)))
-        for ell, mat in snapshots
-        if abs(_entry(mat, n, m)) >= floor
-    ]
+    floor = _DECAY_FIT_FLOOR * max(math.sqrt(snapshots[0][1].frobenius_norm_sq()), 1e-300)
+    pts = [(ell, abs(mat.get(n, m))) for ell, mat in snapshots if abs(mat.get(n, m)) >= floor]
     if len(pts) < 3:
         raise ValueError(
             f"entry ({n}, {m}) is above the numeric floor in only {len(pts)} "

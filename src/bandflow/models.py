@@ -37,7 +37,6 @@ __all__ = [
     "spinboson_delta0_flow",
     "default_n_trunc",
     "certify_truncation",
-    "parse_model_params",
 ]
 
 _X_SINGULARITY_FLOOR = 1e-12  # reject RHS evaluation closer to x = 1 than this
@@ -46,44 +45,6 @@ _X_END = 1.0 - 1e-8  # integration stop; f(1) is then a linear extrapolation
 
 class TruncationError(RuntimeError):
     """Raised when no tested truncation stabilizes the reported levels."""
-
-
-def parse_model_params(pairs) -> "LipkinParams | SpinBosonParams":
-    """Build model parameters from key=value strings.
-
-    Accepted keys: model=lipkin|spinboson, then xi0=, v0=, two_j= or
-    delta=, lambda=, omega=, branch=+|-, n_trunc=.  Used for file- and
-    shell-driven parameter passing; the CLI flags mirror the same names.
-    """
-    kv: dict[str, str] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"expected key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        kv[key.strip()] = value.strip()
-    model = kv.pop("model", None)
-    if model == "lipkin":
-        params = LipkinParams(
-            xi0=float(kv.pop("xi0", "1.0")),
-            v0=float(kv.pop("v0", "0.0")),
-            two_j=int(kv.pop("two_j", "2")),
-        )
-    elif model == "spinboson":
-        branch = kv.pop("branch", "+")
-        if branch not in ("+", "-", "+1", "-1"):
-            raise ValueError(f"branch must be + or -, got {branch!r}")
-        params = SpinBosonParams(
-            delta=float(kv.pop("delta", "0.0")),
-            lam=float(kv.pop("lambda", "0.0")),
-            omega=float(kv.pop("omega", "1.0")),
-            branch=+1 if branch.startswith("+") else -1,
-            n_trunc=int(kv.pop("n_trunc", "64")),
-        )
-    else:
-        raise ValueError(f"model must be 'lipkin' or 'spinboson', got {model!r}")
-    if kv:
-        raise ValueError(f"unknown keys for model={model}: {sorted(kv)}")
-    return params
 
 
 # -- Lipkin model ---------------------------------------------------------------

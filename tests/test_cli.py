@@ -269,11 +269,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [
         ["--rtol", "-1"],
         ["--snapshot-ells", "2,x"],
+        ["--conv-tol", "inf"],
+        ["--rtol", "nan"],
+        ["--atol", "inf"],
+        ["--generator", "wegner", "--ell-max", "nan"],
+        ["--snapshot-ells", "nan,1"],
     ])
     def test_flow_bad_flags(self, tmp_path, capsys, flags):
         path = write_file(tmp_path, "m.txt", make_banded(2, 1, {(0, 1): 1.0}))
         assert main(["flow", path, *flags]) == 3
         self._one_line_error(capsys)
+
+    def test_compare_generators_zero_matrix(self, tmp_path, capsys):
+        # the default snapshot ells scale by 1/||H||^2; explicit ones still run
+        path = write_file(tmp_path, "z.txt", make_banded(2, 1, {}))
+        assert main(["compare-generators", path]) == 3
+        self._one_line_error(capsys)
+        assert main(["compare-generators", path, "--snapshot-ells", "0,1"]) == 0
+        _header, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 2 * 2 * 2 and all(float(r[3]) == 0.0 for r in rows)
 
     def test_flow_wegner_over_cap(self, tmp_path, capsys):
         h = make_banded(300, 1, {(i, i + 1): 1.0 for i in range(299)})

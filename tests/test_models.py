@@ -17,7 +17,6 @@ from bandflow.models import (
     lipkin_reduced_conserved,
     lipkin_reduced_initial,
     lipkin_reduced_rhs,
-    parse_model_params,
     spinboson_delta0_flow,
     spinboson_reduced_rhs,
 )
@@ -154,28 +153,6 @@ class TestSpinBosonBuild:
             SpinBosonParams(delta=0.1, lam=0.1, omega=1.0, branch=2)
         with pytest.raises(ValueError):
             SpinBosonParams(delta=0.1, lam=0.1, omega=1.0, n_trunc=1)
-
-
-class TestParseModelParams:
-    def test_lipkin(self):
-        p = parse_model_params(["model=lipkin", "xi0=2.0", "v0=0.1", "two_j=7"])
-        assert p == LipkinParams(xi0=2.0, v0=0.1, two_j=7)
-
-    def test_spinboson_with_defaults(self):
-        p = parse_model_params(["model=spinboson", "lambda=1.5", "branch=-"])
-        assert p == SpinBosonParams(delta=0.0, lam=1.5, omega=1.0, branch=-1, n_trunc=64)
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown keys"):
-            parse_model_params(["model=lipkin", "mass=3"])
-
-    def test_missing_model_rejected(self):
-        with pytest.raises(ValueError, match="model"):
-            parse_model_params(["xi0=1"])
-
-    def test_malformed_pair_rejected(self):
-        with pytest.raises(ValueError, match="key=value"):
-            parse_model_params(["model=lipkin", "xi0"])
 
 
 class TestTruncation:
