@@ -196,7 +196,10 @@ def split_irreducible(h: BandedSymmetricMatrix) -> list[IrreducibleBlock]:
 
     A cut after index c-1 requires every stored entry crossing the boundary
     (n < c <= m <= n + M) to be exactly zero; tolerance-based splitting is
-    deliberately not offered here.
+    deliberately not offered here.  The blocks are contiguous, so for
+    M >= 2 one block can hold several connected components of the coupling
+    graph: h01 = h12 = 0 with h02 != 0 is one block in which index 1
+    couples to nothing.
     """
     bands = [h.band(k) for k in range(h.bandwidth + 1)]
     blocks: list[IrreducibleBlock] = []

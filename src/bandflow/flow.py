@@ -681,8 +681,11 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
     k = int(np.frexp(max(float(np.max(np.abs(b))) for b in bands))[1])
     k_ell = 2 * k if wegner else k
 
-    def scale_ell(ell: float) -> float:  # an ell past the float range is never reached
-        return min(float(_ldexp(ell, k_ell)), sys.float_info.max)
+    def scale_ell(ell: float) -> float:
+        # Saturate at the float range: an ell past its top is never reached,
+        # and a positive ell must not underflow to an invalid 0.
+        scaled = min(float(_ldexp(ell, k_ell)), sys.float_info.max)
+        return max(scaled, math.ulp(0.0)) if ell > 0.0 else scaled
 
     scaled_ells = tuple(scale_ell(s) for s in config.snapshot_ells)
     scaled = dataclasses.replace(
@@ -704,10 +707,13 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
         return BandedSymmetricMatrix(n, m, [_ldexp(mat.band(j), k) for j in range(m + 1)])
 
     original_ell = dict(zip(scaled_ells, config.snapshot_ells))
+    ell_final = float(_ldexp(res.ell_final, -k_ell))
+    if config.ell_max is not None:  # a saturated ell_max maps back past the caller's
+        ell_final = min(ell_final, config.ell_max)
     d = res.diagnostics
     return FlowResult(
         final=unscale(res.final),
-        ell_final=float(_ldexp(res.ell_final, -k_ell)),
+        ell_final=ell_final,
         converged=res.converged,
         snapshots=[(original_ell[ell], unscale(mat)) for ell, mat in res.snapshots],
         diagnostics=ConservationReport(

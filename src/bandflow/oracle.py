@@ -1,9 +1,18 @@
 """Reference eigensolvers used to verify flow results.
 
-Two deliberately independent algorithms: Sturm-sequence bisection for
+Two deliberately independent algorithms: Sturm-sequence multisection for
 symmetric tridiagonal matrices and cyclic Jacobi rotations for small dense
 symmetric matrices.  Neither shares any code with the flow engine, so they
 can serve as oracles for it (and for each other).
+
+Multisection (Lo, Philippe & Sameh 1987) is bisection that puts many
+shifts into each Sturm sweep: a sweep's cost is mostly per-row interpreter
+overhead, so counting up to max(N, _PASS_SHIFTS) shifts at once costs about
+what counting N does, and a solve needs about a third of bisection's
+sweeps.  Both solvers run on the input divided by 2^k, 2^k the binary
+exponent of its largest entry, and map the result back exactly, so their
+results scale bit for bit with any power of two and do not overflow or
+underflow at entries of 1e200 or 1e-200.
 """
 
 from __future__ import annotations
@@ -15,6 +24,10 @@ import numpy as np
 __all__ = ["SpectrumResult", "eigenvalues_tridiag", "eigenvalues_dense"]
 
 _DENSE_CAP = 512
+# Shifts per multisection pass (at least N).  Below a few thousand shifts a
+# Sturm sweep costs about the same per-row interpreter overhead whatever it
+# carries, so wider passes mean fewer of them.
+_PASS_SHIFTS = 2048
 
 
 @dataclass(frozen=True)
@@ -28,23 +41,30 @@ class SpectrumResult:
 def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Number of eigenvalues below each shift, via the LDL^T pivot recurrence.
 
-    Vectorized over shifts.  Zero pivots are handled through IEEE infinities:
-    a 0 pivot sends the next pivot to -inf, which is counted and then
-    self-heals (b^2 / -inf == -0).
+    Vectorized over shifts.  A zero coupling starts a new block whose first
+    pivot is ``diag[i] - shift``, with no division.  Across a nonzero
+    coupling a zero pivot is handled through IEEE infinities: it sends the
+    next pivot to -inf, which is counted and then self-heals
+    (b^2 / -inf == -0).  With every b^2 finite no NaN can arise.
     """
     shifts = np.asarray(shifts, dtype=float)
     d = diag[0] - shifts
     count = (d < 0.0).astype(np.int64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(1, diag.shape[0]):
-            d = (diag[i] - shifts) - offdiag_sq[i - 1] / d
-            d = np.where(np.isnan(d), -0.0, d)  # 0/0 from consecutive zeros
+    quot = np.empty_like(d)
+    with np.errstate(divide="ignore", over="ignore"):
+        for a, b_sq in zip(diag[1:].tolist(), offdiag_sq.tolist()):
+            if b_sq == 0.0:
+                np.subtract(a, shifts, out=d)
+            else:
+                np.divide(b_sq, d, out=quot)
+                np.subtract(a, shifts, out=d)
+                d -= quot
             count += d < 0.0
     return count
 
 
 def eigenvalues_tridiag(diag, offdiag) -> SpectrumResult:
-    """All eigenvalues of a symmetric tridiagonal matrix by bisection.
+    """All eigenvalues of a symmetric tridiagonal matrix by multisection.
 
     Parameters
     ----------
@@ -52,8 +72,18 @@ def eigenvalues_tridiag(diag, offdiag) -> SpectrumResult:
     offdiag : array of N-1 off-diagonal entries.
 
     Eigenvalues are located to an absolute tolerance of 1e-12 times the
-    matrix scale; multiplicities are counted correctly because bisection
-    brackets eigenvalue counts, not roots.
+    matrix scale (the Gershgorin enclosure), which is the returned
+    ``residual_bound``; multiplicities are counted correctly because the
+    search brackets eigenvalue counts, not roots.
+
+    Each pass finds the distinct open brackets, spreads at most
+    max(N, _PASS_SHIFTS) shifts evenly over them (p >= 1 interior points
+    each) and counts all of them in one Sturm sweep, so a pass narrows every
+    open bracket p + 1 fold; bisection is p = 1.  Eigenvalue i's bracket
+    keeps count(lo) < i <= count(hi) by construction, even where rounding
+    makes counts non-monotone.  An exactly-zero coupling starts a new block
+    in the sweep.  The search runs on the input divided by 2^k, 2^k the
+    binary exponent of the largest entry, and maps the result back exactly.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -64,6 +94,8 @@ def eigenvalues_tridiag(diag, offdiag) -> SpectrumResult:
         raise ValueError("non-finite entry in tridiagonal input")
     if n == 1:
         return SpectrumResult(diag.copy(), 0.0)
+    k = _binary_exponent(diag, offdiag)
+    diag, offdiag = np.ldexp(diag, -k), np.ldexp(offdiag, -k)
 
     # Gershgorin enclosure of the whole spectrum.
     radius = np.zeros(n)
@@ -77,19 +109,40 @@ def eigenvalues_tridiag(diag, offdiag) -> SpectrumResult:
     off_sq = offdiag * offdiag
     lo = np.full(n, lo_all)
     hi = np.full(n, hi_all)
-    targets = np.arange(1, n + 1)
-    # Each bisection halves every bracket; run until all are below tol.
+    budget = max(n, _PASS_SHIFTS)
     while True:
-        width = hi - lo
-        if float(width.max()) <= 2.0 * tol:
+        open_ = np.nonzero(hi - lo > 2.0 * tol)[0]
+        if open_.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        cnt = sturm_count(diag, off_sq, mid)
-        below = cnt < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        # The distinct open brackets, each split by p evenly spaced shifts.
+        pairs, owner = np.unique(
+            np.stack((lo[open_], hi[open_]), axis=1), axis=0, return_inverse=True
+        )
+        owner = owner.reshape(-1)  # numpy 2.0.0 returns it 2-D
+        p = max(1, budget // pairs.shape[0])
+        frac = np.arange(1, p + 1) / (p + 1)
+        blo, bhi = pairs[:, :1], pairs[:, 1:]
+        shifts = blo + (bhi - blo) * frac  # (brackets, p)
+        cnt = sturm_count(diag, off_sq, shifts.reshape(-1)).reshape(shifts.shape)
+        # Eigenvalue i's new hi is its bracket's first shift whose count is
+        # >= i (the old hi if none is), its new lo the point before that.
+        # A running max makes each row sorted without moving that first
+        # shift, so one searchsorted over the rows, offset by n + 1 per
+        # row, finds it even where rounding makes counts non-monotone.
+        np.maximum.accumulate(cnt, axis=1, out=cnt)
+        row = np.arange(pairs.shape[0])[:, None] * (n + 1)
+        first = np.searchsorted((cnt + row).reshape(-1), open_ + 1 + row[owner, 0])
+        first -= owner * p
+        grid = np.concatenate((blo, shifts, bhi), axis=1)  # (brackets, p + 2)
+        lo[open_] = grid[owner, first]
+        hi[open_] = grid[owner, first + 1]
     eig = 0.5 * (lo + hi)
-    return SpectrumResult(np.sort(eig), tol)
+    return SpectrumResult(np.ldexp(np.sort(eig), k), float(np.ldexp(tol, k)))
+
+
+def _binary_exponent(*arrays) -> int:
+    """k such that the largest |entry| / 2^k lies in [0.5, 1) (0 if all are 0)."""
+    return int(np.frexp(max(float(np.max(np.abs(a))) for a in arrays))[1])
 
 
 def eigenvalues_dense(matrix) -> SpectrumResult:
@@ -97,7 +150,8 @@ def eigenvalues_dense(matrix) -> SpectrumResult:
 
     Rotations are applied until the off-diagonal Frobenius norm falls below
     1e-13 times the matrix norm.  Input asymmetry beyond 1e-12 (relative to
-    the largest entry) is rejected.
+    the largest entry) is rejected.  The sweeps run on the input divided by
+    2^k, as in :func:`eigenvalues_tridiag`.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -110,9 +164,11 @@ def eigenvalues_dense(matrix) -> SpectrumResult:
     scale = max(float(np.max(np.abs(a))), 1e-300)
     if float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1.0):
         raise ValueError("input is not symmetric within 1e-12")
-    a = 0.5 * (a + a.T)
     if n == 1:
         return SpectrumResult(a[0:1, 0].copy(), 0.0)
+    k = _binary_exponent(a)
+    a = np.ldexp(a, -k)
+    a = 0.5 * (a + a.T)
 
     norm = np.sqrt(np.sum(a * a))
     target = 1e-13 * max(norm, 1e-300)
@@ -146,4 +202,5 @@ def eigenvalues_dense(matrix) -> SpectrumResult:
     else:  # pragma: no cover - defensive
         raise RuntimeError("Jacobi iteration failed to converge in 60 sweeps")
 
-    return SpectrumResult(np.sort(np.diag(a)), float(off) + 1e-15 * norm)
+    bound = float(off) + 1e-15 * norm
+    return SpectrumResult(np.ldexp(np.sort(np.diag(a)), k), float(np.ldexp(bound, k)))

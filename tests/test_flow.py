@@ -342,6 +342,16 @@ class TestScaleAndStats:
         res = integrate_flow(h, FlowConfig(generator=GeneratorKind.WEGNER, ell_max=1e10))
         assert res.converged
 
+    def test_ell_max_below_float_range_after_scaling(self):
+        # ell_max * 2^(2k) underflows here; the scaled cap saturates at the
+        # smallest positive float instead of failing validation as 0, the
+        # matrix barely moves, and ell_final does not pass the caller's cap
+        h = make_banded(2, 1, {(0, 0): 1e-200, (0, 1): 1e-200})
+        res = integrate_flow(h, FlowConfig(generator=GeneratorKind.WEGNER, ell_max=1.0))
+        assert not res.converged
+        assert res.ell_final == 1.0
+        assert np.array_equal(res.final.to_dense(), h.to_dense())
+
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(2, 8),

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bandflow import models, oracle
 from bandflow.oracle import eigenvalues_dense, eigenvalues_tridiag, sturm_count
 
 SQRT3 = 1.7320508075688772
+EPS = np.finfo(float).eps
 
 
 def random_tridiag(seed, n, scale=1.0):
@@ -57,6 +63,92 @@ class TestTridiag:
         assert counts.tolist() == list(range(1, 25))
         assert sturm_count(d, e * e, np.array([ev[0] - 1.0]))[0] == 0
         assert sturm_count(d, e * e, np.array([ev[-1] + 1.0]))[0] == 25
+
+    def test_zero_coupling_after_zero_pivot(self):
+        # the leading block [-2] gives a zero pivot at shift -2; the zero
+        # coupling must start the next block at diag - shift, not at 0/0
+        res = eigenvalues_tridiag([-2.0, -2.0, -2.0], [0.0, 1.0])
+        np.testing.assert_allclose(res.eigenvalues, [-3.0, -2.0, -1.0], atol=1e-12)
+        assert sturm_count(np.array([-2.0] * 3), np.array([0.0, 1.0]),
+                           np.array([-2.5, -2.0, -1.5])).tolist() == [1, 1, 2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_small_integer_tridiagonals(self, data, n):
+        # a few repeated levels and exact-zero couplings: reducible inputs,
+        # zero pivots and multiple eigenvalues
+        d = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), float)
+        e = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=n - 1,
+                                        max_size=n - 1)), float)
+        res = eigenvalues_tridiag(d, e)
+        exact = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        roundoff = 64 * EPS * max(1.0, float(np.max(np.abs(exact))))
+        assert np.all(np.diff(res.eigenvalues) >= 0.0)
+        assert np.max(np.abs(res.eigenvalues - exact)) <= res.residual_bound + roundoff
+        # counts are exact at shifts strictly between distinct eigenvalues
+        gaps = np.nonzero(np.diff(exact) > 1e-6)[0]
+        shifts = np.concatenate(([exact[0] - 1.0], 0.5 * (exact[gaps] + exact[gaps + 1]),
+                                 [exact[-1] + 1.0]))
+        expect = np.concatenate(([0], gaps + 1, [n]))
+        assert sturm_count(d, e * e, shifts).tolist() == expect.tolist()
+
+    def test_pass_budget(self, monkeypatch):
+        # each Sturm sweep carries at most max(N, _PASS_SHIFTS) shifts, and
+        # the fig1 chain at N = 400 needs at most 20 sweeps (bisection: 39)
+        shifts_per_call = []
+
+        def counting(diag, offdiag_sq, shifts):
+            shifts_per_call.append(len(shifts))
+            return sturm_count(diag, offdiag_sq, shifts)
+
+        monkeypatch.setattr(oracle, "sturm_count", counting)
+        chain = models.build_spinboson(
+            models.SpinBosonParams(delta=2.0, lam=4.0, omega=1.0, branch=1, n_trunc=400))
+        lipkin, _ = models.build_lipkin_blocks(
+            models.LipkinParams(xi0=1.0, v0=0.5 / 4000, two_j=2000))
+        assert lipkin.dim == 1001
+        for h, max_passes in ((chain, 20), (lipkin, None)):
+            shifts_per_call.clear()
+            ev = eigenvalues_tridiag(h.band(0), h.band(1)).eigenvalues
+            np.testing.assert_allclose(ev, np.linalg.eigvalsh(h.to_dense()),
+                                       atol=1e-10 * np.max(np.abs(ev)))
+            assert max(shifts_per_call) <= max(h.dim, oracle._PASS_SHIFTS)
+            if max_passes is not None:
+                assert len(shifts_per_call) <= max_passes
+
+
+class TestExtremeScale:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_two_level(self, scale):
+        # entry squares overflow / underflow unless the oracles rescale
+        expect = [(3 - math.sqrt(5.0)) / 2 * scale, (3 + math.sqrt(5.0)) / 2 * scale]
+        tri = eigenvalues_tridiag([scale, 2 * scale], [scale])
+        dense = eigenvalues_dense([[scale, scale], [scale, 2 * scale]])
+        for res in (tri, dense):
+            np.testing.assert_allclose(res.eigenvalues, expect, rtol=1e-11)
+            assert 0.0 < res.residual_bound < 1e-11 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(-900, 900),
+        zeros=st.floats(0.0, 0.7),
+    )
+    def test_power_of_two_covariance(self, n, seed, j, zeros):
+        # |j| up to 900 takes entry squares out of the float range
+        rng = np.random.default_rng(seed)
+        d = rng.uniform(-1, 1, n)
+        e = np.where(rng.uniform(size=n - 1) < zeros, 0.0, rng.uniform(-1, 1, n - 1))
+        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        pairs = [
+            (eigenvalues_tridiag(d, e),
+             eigenvalues_tridiag(np.ldexp(d, j), np.ldexp(e, j))),
+            (eigenvalues_dense(dense), eigenvalues_dense(np.ldexp(dense, j))),
+        ]
+        for res, res2 in pairs:
+            assert np.array_equal(res2.eigenvalues, np.ldexp(res.eigenvalues, j))
+            assert res2.residual_bound == np.ldexp(res.residual_bound, j)
 
 
 class TestDense:
