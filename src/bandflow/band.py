@@ -33,17 +33,19 @@ class IrreducibleBlock:
 class BandedSymmetricMatrix:
     """Real symmetric N x N matrix with h_nm = 0 enforced for |n - m| > M.
 
-    Storage is diagonal-major: band k (k = 0..M) is one contiguous array
-    holding h_{n,n+k} for n = 0..N-1-k.  Only the upper triangle is stored,
-    so symmetry holds by construction, and entries outside the band are
-    structural zeros: reading them yields exactly 0.0 and there is no way
-    to write them.
+    Storage is LAPACK's lower symmetric band layout: one (M+1) x N float
+    array whose row k holds h_{n,n+k} for n = 0..N-1-k followed by k zero
+    padding slots.  Only one triangle is stored, so symmetry holds by
+    construction, and entries outside the band are structural zeros:
+    reading them yields exactly 0.0 and there is no way to write them.
 
-    Instances are immutable from the outside; the flow integrator works on
-    private copies of the raw band arrays.
+    A column slice [:, a:b] of the rows is the row array of the diagonal
+    block [a, b), already zero-padded wherever no coupling crosses b; the
+    flow integrator works on private copies of such slices.  Instances are
+    immutable from the outside.
     """
 
-    __slots__ = ("dim", "bandwidth", "_bands")
+    __slots__ = ("dim", "bandwidth", "_rows")
 
     def __init__(self, dim: int, bandwidth: int, bands: Iterable[np.ndarray]):
         if dim < 1:
@@ -57,6 +59,7 @@ class BandedSymmetricMatrix:
             raise ValueError(
                 f"expected {bandwidth + 1} bands, got {len(bands)}"
             )
+        rows = np.zeros((bandwidth + 1, dim))
         for k, b in enumerate(bands):
             if b.shape != (dim - k,):
                 raise ValueError(
@@ -64,12 +67,27 @@ class BandedSymmetricMatrix:
                 )
             if not np.all(np.isfinite(b)):
                 raise ValueError(f"non-finite entry in band {k}")
+            rows[k, : dim - k] = b
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "bandwidth", bandwidth)
-        object.__setattr__(self, "_bands", bands)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("BandedSymmetricMatrix is immutable")
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "BandedSymmetricMatrix":
+        """Build from an (M+1) x N row array laid out as :meth:`rows`.
+
+        The padding slots (row k, columns N-k..N-1) must be exactly zero.
+        """
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2:
+            raise ValueError(f"expected an (M+1) x N row array, got shape {rows.shape}")
+        n = rows.shape[1]
+        if np.any(rows[np.add.outer(np.arange(rows.shape[0]), np.arange(n)) >= n]):
+            raise ValueError("nonzero entry in a padding slot of the row array")
+        return cls(n, rows.shape[0] - 1, [rows[k, : n - k] for k in range(rows.shape[0])])
 
     # -- element access -----------------------------------------------------
 
@@ -80,27 +98,27 @@ class BandedSymmetricMatrix:
         k = abs(n - m)
         if k > self.bandwidth:
             return 0.0
-        return float(self._bands[k][min(n, m)])
+        return float(self._rows[k, min(n, m)])
 
-    def band(self, k: int) -> np.ndarray:
-        """Read-only view of band k (entries h_{n,n+k})."""
-        view = self._bands[k].view()
+    def rows(self) -> np.ndarray:
+        """Read-only view of the (M+1) x N row array, padding included."""
+        view = self._rows.view()
         view.setflags(write=False)
         return view
+
+    def band(self, k: int) -> np.ndarray:
+        """Read-only view of band k (entries h_{n,n+k}, no padding)."""
+        return self.rows()[k, : self.dim - k]
 
     def diagonal(self) -> np.ndarray:
         return self.band(0)
 
-    def copy_bands(self) -> list[np.ndarray]:
-        """Writable copies of the raw band arrays (integrator work state)."""
-        return [b.copy() for b in self._bands]
-
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))
-        for k, b in enumerate(self._bands):
+        for k in range(self.bandwidth + 1):
             idx = np.arange(self.dim - k)
-            a[idx, idx + k] = b
-            a[idx + k, idx] = b
+            a[idx, idx + k] = self._rows[k, : self.dim - k]
+            a[idx + k, idx] = self._rows[k, : self.dim - k]
         return a
 
     @classmethod
@@ -122,32 +140,27 @@ class BandedSymmetricMatrix:
             for k in range(bandwidth + 1, n):
                 if np.any(np.diagonal(a, k) != 0.0):
                     raise ValueError(f"nonzero entry at offset {k} > bandwidth {bandwidth}")
-        bands = [np.ascontiguousarray(np.diagonal(a, k)) for k in range(bandwidth + 1)]
+        bands = [np.diagonal(a, k) for k in range(bandwidth + 1)]
         return cls(n, bandwidth, bands)
 
     # -- scalar functionals ---------------------------------------------------
 
     def trace(self) -> float:
-        return float(self._bands[0].sum())
+        return float(self._rows[0].sum())
 
     def frobenius_norm_sq(self) -> float:
         """Sum of h_nm^2 over all n, m (both symmetric copies counted)."""
-        total = float(np.dot(self._bands[0], self._bands[0]))
-        for b in self._bands[1:]:
-            total += 2.0 * float(np.dot(b, b))
-        return total
+        return float(np.dot(self._rows[0], self._rows[0])) + self.offdiag_norm_sq()
 
     def offdiag_norm_sq(self) -> float:
-        total = 0.0
-        for b in self._bands[1:]:
-            total += 2.0 * float(np.dot(b, b))
-        return total
+        off = self._rows[1:].ravel()
+        return 2.0 * float(np.dot(off, off))
 
     def partial_trace(self, r: int) -> float:
         """Sum of the first r diagonal entries."""
         if not 1 <= r <= self.dim:
             raise ValueError(f"r must be in 1..{self.dim}, got {r}")
-        return float(self._bands[0][:r].sum())
+        return float(self._rows[0, :r].sum())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BandedSymmetricMatrix(dim={self.dim}, bandwidth={self.bandwidth})"
@@ -178,38 +191,40 @@ def make_banded(
     return BandedSymmetricMatrix(dim, bandwidth, bands)
 
 
-def boundary_coupling_sq(bands: list[np.ndarray], cut: int) -> float:
-    """Sum of h_nm^2 over stored entries with n < cut <= m.
+def boundary_coupling_sq(rows: np.ndarray) -> np.ndarray:
+    """Coupling across every cut of an (M+1) x N row array.
 
-    Operates on raw band arrays so the integrator can share it.
+    Entry c-1 (c = 1..N-1) is the sum of h_nm^2 over the stored entries
+    with n < c <= m, the couplings a split after index c-1 would remove.
+    Band k crosses cut c in rows[k, c-k:c]; grouping by the shift s = c - n
+    makes each cut a sum of shifted suffix sums t_s[n] = sum_{k>=s}
+    rows[k, n]^2.  Every term is a non-negative square, so a cut reads
+    exactly 0 only where each crossing entry squares to 0 (a difference of
+    running sums would round a 1e-10 coupling next to a coupling of 1 to 0).
     """
-    total = 0.0
-    for k in range(1, len(bands)):
-        lo = max(cut - k, 0)
-        seg = bands[k][lo:cut]
-        total += float(np.dot(seg, seg))
-    return total
+    n = rows.shape[1]
+    cross = np.zeros(max(n - 1, 0))
+    t = np.zeros(n)
+    for s in range(rows.shape[0] - 1, 0, -1):
+        t += rows[s] * rows[s]
+        cross[s - 1 :] += t[: n - s]
+    return cross
 
 
 def split_irreducible(h: BandedSymmetricMatrix) -> list[IrreducibleBlock]:
     """Decompose into maximal blocks separated by exactly-zero couplings.
 
     A cut after index c-1 requires every stored entry crossing the boundary
-    (n < c <= m <= n + M) to be exactly zero; tolerance-based splitting is
-    deliberately not offered here.  The blocks are contiguous, so for
-    M >= 2 one block can hold several connected components of the coupling
-    graph: h01 = h12 = 0 with h02 != 0 is one block in which index 1
-    couples to nothing.
+    (n < c <= m <= n + M) to be exactly zero, as read by
+    :func:`boundary_coupling_sq`; tolerance-based splitting is deliberately
+    not offered here.  The blocks are contiguous, so for M >= 2 one block
+    can hold several connected components of the coupling graph:
+    h01 = h12 = 0 with h02 != 0 is one block in which index 1 couples to
+    nothing.
     """
-    bands = [h.band(k) for k in range(h.bandwidth + 1)]
-    blocks: list[IrreducibleBlock] = []
-    start = 0
-    for cut in range(1, h.dim):
-        if boundary_coupling_sq(bands, cut) == 0.0:
-            blocks.append(IrreducibleBlock(start, cut))
-            start = cut
-    blocks.append(IrreducibleBlock(start, h.dim))
-    return blocks
+    cuts = np.flatnonzero(boundary_coupling_sq(h.rows()) == 0.0) + 1
+    edges = [0, *(int(c) for c in cuts), h.dim]
+    return [IrreducibleBlock(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 # -- plain-text matrix format -------------------------------------------------

@@ -8,13 +8,16 @@ that round-trips to the same float, so emitted files re-parse bit-exactly.
 Exit codes: 0 success/converged; 2 flow not converged, either because it
 reached ell_max or because it stalled (the step size underflowed; a
 one-line message goes to stderr); 3 input error, reported as one line on
-stderr; 4 truncation certification failure.
+stderr; 4 truncation certification failure.  The --out and --trace-out
+files are opened (and truncated) before any work runs, so an unwritable
+path exits 3 at once.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import math
 import os
@@ -65,10 +68,13 @@ def _write_csv(out: IO[str], header: Sequence[str], rows: Sequence[Sequence]) ->
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+def _open_outputs(args, stack: contextlib.ExitStack) -> None:
+    """Replace the --out / --trace-out paths in args by open files ('-' is
+    stdout), so that an unwritable path is an input error before any work."""
+    for name in ("out", "trace_out"):
+        path = getattr(args, name, None)
+        if path is not None:
+            setattr(args, name, sys.stdout if path == "-" else stack.enter_context(open(path, "w")))
 
 
 def _parse_levels(text: str) -> list[int]:
@@ -164,12 +170,7 @@ def cmd_flow(args) -> int:
             ]
         else:
             rows = _trace_rows_from_snapshots(result)
-        out, close = _open_out(args.trace_out)
-        try:
-            _write_csv(out, header, rows)
-        finally:
-            if close:
-                out.close()
+        _write_csv(args.trace_out, header, rows)
 
     print("final_diagonal " + " ".join(repr(float(d)) for d in result.final.diagonal()))
     print(f"ell_final {float(result.ell_final)!r}")
@@ -284,12 +285,7 @@ def cmd_spectrum(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, _SPECTRUM_HEADER, rows)
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out or sys.stdout, _SPECTRUM_HEADER, rows)
     return status
 
 
@@ -331,6 +327,8 @@ def cmd_fig1(args) -> int:
     # Validate here, where an error is one line: the points run in worker processes.
     try:
         n_list = _parse_levels(args.n_list)
+        if n_list[0] < 1:
+            raise ValueError("fig1 levels must be >= 1: the asymptotic formulas start at n = 1")
         if args.grid_points < 2:
             raise ValueError("grid must have at least 2 points")
         SpinBosonParams(delta=args.delta_max, lam=args.lambda_over_omega, omega=1.0)
@@ -359,12 +357,7 @@ def cmd_fig1(args) -> int:
             status = EXIT_NOT_CONVERGED
         for n, err in errs:
             rows.append([delta_over_omega, n, err])
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, ["delta_over_omega", "n", "rel_err_asym1"], rows)
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out or sys.stdout, ["delta_over_omega", "n", "rel_err_asym1"], rows)
     return status
 
 
@@ -422,12 +415,7 @@ def cmd_compare_generators(args) -> int:
         for ell, mat in result.snapshots:
             for offset, occ in enumerate(_offset_occupancy(mat)):
                 rows.append([gen.value, ell, offset, occ])
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, ["generator", "ell", "offset", "max_abs"], rows)
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out or sys.stdout, ["generator", "ell", "offset", "max_abs"], rows)
     return status
 
 
@@ -498,11 +486,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "branch", None) is not None:
         args.branch = +1 if args.branch == "+" else -1
-    try:
-        return args.func(args)
-    except StiffFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    with contextlib.ExitStack() as stack:
+        try:
+            _open_outputs(args, stack)
+        except OSError as exc:
+            print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT
+        try:
+            return args.func(args)
+        except StiffFlowError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NOT_CONVERGED
 
 
 def entry() -> None:  # console-script hook

@@ -2,8 +2,15 @@
 
 The sign generator eta_nm = sign(n - m) h_nm drives any bounded-below real
 symmetric matrix to diagonal form while exactly preserving its band profile;
-the right-hand side is evaluated directly on the diagonal-major band storage,
-so entries outside the band never exist at any point of the integration.
+the right-hand side is evaluated directly on the band storage, so entries
+outside the band never exist at any point of the integration.
+
+Every matrix flows in one layout, the (M+1) x N row array of
+:class:`~bandflow.band.BandedSymmetricMatrix`: row k holds h_{n,n+k}
+followed by k zeros, and the integrator's state is that array flattened, so
+band k starts at offset k*N.  A block [a, b) is the column slice [:, a:b],
+already zero-padded once nothing couples across b; deflation zeroes the
+crossing slots and hands each block its slice.
 Wegner's classic generator [H_d, H] is also provided as the contrast case
 that fills the band in.  Both generators run through the same driver: a
 Wegner flow is a banded flow at full bandwidth M = N - 1, so its results
@@ -42,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .band import BandedSymmetricMatrix, split_irreducible
+from .band import BandedSymmetricMatrix, boundary_coupling_sq, split_irreducible
 from .ode import Dop853 as Dopri54  # perfbench/tracing.py patches this name
 from .ode import StepSizeUnderflow
 
@@ -205,61 +212,54 @@ def mielke_eta(h: BandedSymmetricMatrix) -> np.ndarray:
     return sign * a
 
 
-def _band_slices(n: int, m: int) -> list[slice]:
-    slices = []
-    offset = 0
-    for k in range(m + 1):
-        slices.append(slice(offset, offset + n - k))
-        offset += n - k
-    return slices
-
-
-def _banded_rhs_inplace(e: list[np.ndarray], r: list[np.ndarray], n: int, m: int) -> None:
+def _banded_rhs_inplace(y: np.ndarray, out: np.ndarray, n: int, m: int) -> None:
     """dH/dl = [eta, H] for the sign generator, as a band-array stencil.
 
-    For n < m the commutator reduces to
+    y and out are flattened (M+1) x N row arrays: band k starts at offset
+    k*n, and out must arrive zeroed.  For n < m the commutator reduces to
         (h_nn - h_mm) h_nm + 2 sum_{k<n} h_nk h_km - 2 sum_{k>m} h_nk h_km
     and the diagonal to 2 (sum_{k<n} - sum_{k>n}) h_nk^2; terms with
     |n - m| > M vanish identically, so the band profile is preserved
-    exactly rather than to tolerance.
+    exactly rather than to tolerance.  Only the n-k valid slots of band k
+    are written, so the padding of out stays zero.
     """
-    r0 = r[0]
-    r0[:] = 0.0
+    e0 = y[:n]
+    r0 = out[:n]
     for j in range(1, m + 1):
-        ej2 = e[j] * e[j]
+        ej2 = y[j * n : (j + 1) * n - j] ** 2
         ej2 += ej2
         r0[j:] += ej2
         r0[: n - j] -= ej2
     for d in range(1, m + 1):
-        rd = r[d]
-        np.multiply(e[0][: n - d] - e[0][d:], e[d], out=rd)
+        od = d * n
+        rd = out[od : od + n - d]
+        np.multiply(e0[: n - d] - e0[d:], y[od : od + n - d], out=rd)
         for i in range(1, m - d + 1):
             w = n - d - i  # valid stencil width
-            t = e[i][:w] * e[d + i][:w]
+            oi, odi = i * n, (d + i) * n
+            t = y[oi : oi + w] * y[odi : odi + w]
             t += t
             rd[i:] += t
-            t = e[d + i][:w] * e[i][d : n - i]
+            t = y[odi : odi + w] * y[oi + d : oi + n - i]
             t += t
             rd[:w] -= t
 
 
 def _rhs_kernel_py(y: np.ndarray, out: np.ndarray, n: int, m: int) -> None:
-    """Flat-vector form of the stencil; band k starts at k*n - k(k-1)/2."""
-    for i in range(n):
-        out[i] = 0.0
+    """Loop form of :func:`_banded_rhs_inplace` (same layout, out zeroed)."""
     for j in range(1, m + 1):
-        oj = j * n - j * (j - 1) // 2
+        oj = j * n
         for i in range(n - j):
             v = 2.0 * y[oj + i] * y[oj + i]
             out[j + i] += v
             out[i] -= v
     for d in range(1, m + 1):
-        od = d * n - d * (d - 1) // 2
+        od = d * n
         for i in range(n - d):
             out[od + i] = (y[i] - y[i + d]) * y[od + i]
         for i2 in range(1, m - d + 1):
-            oi = i2 * n - i2 * (i2 - 1) // 2
-            odi = (d + i2) * n - (d + i2) * (d + i2 - 1) // 2
+            oi = i2 * n
+            odi = (d + i2) * n
             for a in range(n - d - i2):
                 out[od + i2 + a] += 2.0 * y[oi + a] * y[odi + a]
                 out[od + a] -= 2.0 * y[odi + a] * y[oi + d + a]
@@ -267,18 +267,17 @@ def _rhs_kernel_py(y: np.ndarray, out: np.ndarray, n: int, m: int) -> None:
 
 if _HAVE_NUMBA:
     # no fastmath: structural zeros must stay exact
-    _rhs_kernel = _njit(cache=True)(_rhs_kernel_py)
+    _stencil = _njit(cache=True)(_rhs_kernel_py)
 else:  # pragma: no cover
-    _rhs_kernel = None
+    _stencil = _banded_rhs_inplace
 
 
 def mielke_rhs(h: BandedSymmetricMatrix) -> BandedSymmetricMatrix:
     """Right-hand side of the sign-generator flow, same band profile as h."""
-    n, m = h.dim, h.bandwidth
-    e = [h.band(k) for k in range(m + 1)]
-    r = [np.zeros(n - k) for k in range(m + 1)]
-    _banded_rhs_inplace(e, r, n, m)
-    return BandedSymmetricMatrix(n, m, r)
+    rows = h.rows()
+    out = np.zeros(rows.size)
+    _banded_rhs_inplace(rows.ravel(), out, h.dim, h.bandwidth)
+    return BandedSymmetricMatrix.from_rows(out.reshape(rows.shape))
 
 
 def wegner_eta(h_dense: np.ndarray) -> np.ndarray:
@@ -298,21 +297,23 @@ def wegner_rhs(h_dense: np.ndarray) -> np.ndarray:
 # -- integration ---------------------------------------------------------------
 
 
-def _wegner_band_rhs(nb: int, mb: int):
-    """Wegner's dH/dl on diagonal-major band storage of a full-band matrix.
+def _wegner_band_rhs(n: int):
+    """Wegner's dH/dl on the flattened N x N row array of a full-band matrix.
 
     Scatters the state into a dense symmetric matrix, evaluates
     :func:`wegner_rhs` and gathers its upper triangle back, so the state
-    stays exactly symmetric.
+    stays exactly symmetric and its padding zero.
     """
-    rows = np.concatenate([np.arange(nb - k) for k in range(mb + 1)])
-    cols = rows + np.repeat(np.arange(mb + 1), nb - np.arange(mb + 1))
-    h = np.zeros((nb, nb))
+    k, i = np.divmod(np.arange(n * n), n)  # slot k*n + i holds h_{i,i+k}
+    slots = np.flatnonzero(i + k < n)
+    rows, cols = i[slots], i[slots] + k[slots]
+    h = np.zeros((n, n))
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        h[rows, cols] = y
-        h[cols, rows] = y
-        return wegner_rhs(h)[rows, cols]
+        h[rows, cols] = h[cols, rows] = y[slots]
+        out = np.zeros_like(y)
+        out[slots] = wegner_rhs(h)[rows, cols]
+        return out
 
     return rhs
 
@@ -333,23 +334,26 @@ def _auto_ell_max(diag: np.ndarray, bands_norm1: np.ndarray, power: int) -> floa
     return 1e5 * diag.shape[0] / spread**power
 
 
-def _gershgorin_radii(e: list[np.ndarray], n: int, m: int) -> np.ndarray:
+def _gershgorin_radii(rows: np.ndarray) -> np.ndarray:
+    n = rows.shape[1]
     radii = np.zeros(n)
-    for j in range(1, m + 1):
-        radii[: n - j] += np.abs(e[j])
-        radii[j:] += np.abs(e[j])
+    for j in range(1, rows.shape[0]):
+        a = np.abs(rows[j, : n - j])
+        radii[: n - j] += a
+        radii[j:] += a
     return radii
 
 
-def _sub_bands(bands: list[np.ndarray], start: int, size: int, m: int) -> list[np.ndarray]:
-    """Private copies of the bands of the diagonal block [start, start + size)."""
-    return [bands[k][start : start + size - k].copy() for k in range(min(m, size - 1) + 1)]
+def _off_sq(y: np.ndarray, n: int) -> float:
+    """Off-diagonal norm squared of a flattened row array of width n."""
+    off = y[n:]
+    return 2.0 * float(np.dot(off, off))
 
 
 @dataclass
 class _Task:
     start: int
-    bands: list[np.ndarray]  # private copies for this block
+    rows: np.ndarray  # private (M_b+1) x N_b row array of this block
     ell: float
     h0: float | None = None  # step size inherited across a split
 
@@ -359,14 +363,15 @@ class _BandedFlow:
 
     The sign generator flows with dynamic block deflation.  Wegner's
     generator, whose input arrives widened to M = N - 1, and steps mode
-    integrate the whole matrix as one undeflated system.
+    integrate the whole matrix as one undeflated system.  Each block's
+    state is its row array flattened; the assembled final and snapshot
+    matrices are (M+1) x N row arrays into which every block writes its
+    column slice.
     """
 
     def __init__(self, h0: BandedSymmetricMatrix, config: FlowConfig):
         self.h0 = h0
         self.config = config
-        self.n_total = h0.dim
-        self.m = h0.bandwidth
         self.wegner = config.generator is GeneratorKind.WEGNER
         self.single = self.wegner or config.record_steps
         self.frob0_sq = h0.frobenius_norm_sq()
@@ -385,44 +390,53 @@ class _BandedFlow:
         # boundaries may deflate long before ||B|| reaches sqrt(theta_sq).
         self.shift_budget = config.convergence_tol * max(frob0, 1e-300) / (2.0 * h0.dim)
         self.order_slack = config.convergence_tol * max(frob0, 1e-300)
-        e0 = [h0.band(k) for k in range(self.m + 1)]
+        rows0 = h0.rows()
         if config.ell_max is not None:
             self.ell_max = config.ell_max
         else:
             self.ell_max = _auto_ell_max(
-                e0[0], _gershgorin_radii(e0, h0.dim, self.m), 2 if self.wegner else 1
+                rows0[0], _gershgorin_radii(rows0), 2 if self.wegner else 1
             )
         self.snap_ells = list(config.snapshot_ells)
-        self.snap_bands = {s: h0.copy_bands() for s in self.snap_ells}
+        self.snaps = {s: rows0.copy() for s in self.snap_ells}
         self.report = ConservationReport()
         self.step_rows: list[TraceRow] = []
         self.converged = True
         self.ell_final = 0.0
-        self._final_bands = h0.copy_bands()
+        self.final = rows0.copy()
         self.n_rhs = self.n_accepted = self.n_rejected = 0
         self.n_tasks = self.n_deflations = 0
         if config.record_steps:
-            self._emit_step_row(0.0, e0)
+            self._emit_step_row(0.0, rows0.ravel())
 
     # -- helpers ----------------------------------------------------------
 
-    def _write_region(self, target: list[np.ndarray], start: int, bands: list[np.ndarray]) -> None:
-        nb = bands[0].shape[0]
-        for k in range(len(bands)):
-            if nb - k > 0:
-                target[k][start : start + nb - k] = bands[k]
+    @staticmethod
+    def _write(target: np.ndarray, start: int, block: np.ndarray) -> None:
+        """Store a block's rows in an assembled row array.  The rows past the
+        block's own bandwidth couple across its end, so they are zero."""
+        rows, nb = block.shape
+        target[:rows, start : start + nb] = block
+        target[rows:, start : start + nb] = 0.0
 
-    def _record_snapshot(self, ell: float, start: int, bands: list[np.ndarray]) -> None:
-        self._write_region(self.snap_bands[ell], start, bands)
+    @staticmethod
+    def _push_blocks(tasks: deque, rows: np.ndarray, start: int, cuts, ell: float,
+                     h: float | None) -> None:
+        """Queue the blocks between cuts; nothing may couple across a cut."""
+        edges = [0, *cuts, rows.shape[1]]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            tasks.append(_Task(start + lo, rows[: hi - lo, lo:hi].copy(), ell, h))
 
-    def _emit_step_row(self, ell: float, e: list[np.ndarray]) -> None:
-        # Steps mode runs one task, so its bands are the full matrix state.
-        off_sq = 2.0 * sum(float(np.dot(b, b)) for b in e[1:])
-        frob_sq = float(np.dot(e[0], e[0])) + off_sq
-        self.step_rows.append(TraceRow(ell, float(e[0].sum()), frob_sq, off_sq, e[0].copy()))
+    def _emit_step_row(self, ell: float, y: np.ndarray) -> None:
+        # Steps mode runs one task, so its state is the full matrix.
+        n = self.h0.dim
+        off_sq = _off_sq(y, n)
+        frob_sq = float(np.dot(y[:n], y[:n])) + off_sq
+        self.step_rows.append(TraceRow(ell, float(y[:n].sum()), frob_sq, off_sq, y[:n].copy()))
 
-    def _deflation_cuts(self, e: list[np.ndarray], nb: int, mb: int) -> list[int]:
-        """Boundaries that may be zeroed now without leaving the error budget.
+    def _deflation_cuts(self, e: np.ndarray) -> list[int]:
+        """Boundaries of the block with rows e that may be zeroed now without
+        leaving the error budget.
 
         A cut at c is allowed when the Gershgorin enclosures of the two
         would-be blocks are already ordered (so the exact flow could not
@@ -432,25 +446,19 @@ class _BandedFlow:
         2 ||B||^2 / sep <= shift_budget valid once ||B|| <= sep/4, with sep
         the certified spectral separation of the blocks.
         """
-        if self.single or nb < 2:
+        if self.single or e.shape[1] < 2:
             return []
-        cross = np.zeros(nb)
-        for j in range(1, mb + 1):
-            ej2 = e[j] * e[j]
-            cs = np.concatenate(([0.0], np.cumsum(ej2)))
-            c = np.arange(1, nb)
-            cross[1:] += cs[np.minimum(c, nb - j)] - cs[np.maximum(c - j, 0)]
+        cr = boundary_coupling_sq(e)  # per cut c = 1..nb-1
         # coarse prefilter: neither rule can fire above this bound
         d = e[0]
         spread = float(d.max() - d.min())
         cap = max(self.theta_sq, self.shift_budget * (spread + 1.0))
-        if not np.any(cross[1:] <= cap):
+        if not np.any(cr <= cap):
             return []
-        radii = _gershgorin_radii(e, nb, mb)
+        radii = _gershgorin_radii(e)
         hi = np.maximum.accumulate(d + radii)  # spectral ceiling of 0..c-1
         lo = np.minimum.accumulate((d - radii)[::-1])[::-1]  # floor of c..nb-1
         sep = lo[1:] - hi[:-1]  # per cut c = 1..nb-1
-        cr = cross[1:]
         ordered = sep >= -self.order_slack
         weyl = cr <= self.theta_sq
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -459,48 +467,23 @@ class _BandedFlow:
             )
         return [int(c) + 1 for c in np.nonzero(ordered & (weyl | quad) & (cr <= cap))[0]]
 
-    def _zero_boundary(self, e: list[np.ndarray], start: int, cut: int, nb: int, mb: int, ell: float) -> None:
-        """Zero every coupling crossing the cut, in the task state and in all
-        assembled views of the matrix from this ell on."""
-        removed = 0.0
-        for j in range(1, mb + 1):
-            for a in range(max(cut - j, 0), min(cut, nb - j)):
-                removed += 2.0 * float(e[j][a]) ** 2
-                e[j][a] = 0.0
-                self._final_bands[j][start + a] = 0.0
-                for s in self.snap_ells:
-                    if s > ell:
-                        self.snap_bands[s][j][start + a] = 0.0
-        self.report.frobenius_drift += removed / max(self.frob0_sq, 1e-300)
-        self.n_deflations += 1
-
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> FlowResult:
-        if self.single:
-            tasks = deque([_Task(0, self.h0.copy_bands(), 0.0)])
-        else:
-            # Exactly-zero couplings split the input up front; the stencil
-            # never regenerates them, so each block flows independently.
-            bands0 = [self.h0.band(k) for k in range(self.m + 1)]
-            tasks = deque(
-                _Task(b.start, _sub_bands(bands0, b.start, b.size, self.m), 0.0)
-                for b in split_irreducible(self.h0)
-            )
-
+        tasks: deque = deque()
+        # Exactly-zero couplings split the input up front; the stencil never
+        # regenerates them, so each block flows independently.
+        cuts = [] if self.single else [b.start for b in split_irreducible(self.h0)[1:]]
+        self._push_blocks(tasks, self.h0.rows(), 0, cuts, 0.0, None)
         while tasks:
             self._run_task(tasks.popleft(), tasks)
 
-        final = BandedSymmetricMatrix(self.n_total, self.m, self._final_bands)
-        snapshots = [
-            (s, BandedSymmetricMatrix(self.n_total, self.m, self.snap_bands[s]))
-            for s in self.snap_ells
-        ]
         return FlowResult(
-            final=final,
+            final=BandedSymmetricMatrix.from_rows(self.final),
             ell_final=self.ell_final,
             converged=self.converged,
-            snapshots=snapshots,
+            snapshots=[(s, BandedSymmetricMatrix.from_rows(self.snaps[s]))
+                       for s in self.snap_ells],
             diagnostics=self.report,
             step_trace=self.step_rows,
             stats=FlowStats(self.n_rhs, self.n_accepted, self.n_rejected,
@@ -509,71 +492,44 @@ class _BandedFlow:
 
     def _run_task(self, task: _Task, tasks: deque) -> None:
         cfg = self.config
-        nb = task.bands[0].shape[0]
-        mb = len(task.bands) - 1
+        mb, nb = task.rows.shape[0] - 1, task.rows.shape[1]
         # Snapshots at or before this task's start ell were already written
         # (initialization covers ell <= 0, the parent covers a split point).
         pending = [s for s in self.snap_ells if s > task.ell]
 
-        def finish(ell: float, bands: list[np.ndarray], converged: bool) -> None:
+        def finish(ell: float, y: np.ndarray, converged: bool) -> None:
+            block = y.reshape(mb + 1, nb)
             for s in pending:
-                self._record_snapshot(s, task.start, bands)
-            self._write_region(self._final_bands, task.start, bands)
+                self._write(self.snaps[s], task.start, block)
+            self._write(self.final, task.start, block)
             self.ell_final = max(self.ell_final, ell)
             if not converged:
                 self.converged = False
 
-        if nb == 1:
-            finish(task.ell, task.bands, True)
+        y0 = task.rows.ravel()
+        # One entry, or converged on arrival (common for post-split
+        # fragments): no stepper.
+        if nb == 1 or _off_sq(y0, nb) <= self.conv_off_sq:
+            finish(task.ell, y0, True)
             return
-
-        # Converged on arrival (common for post-split fragments): no stepper.
-        off0 = 2.0 * sum(float(np.dot(b, b)) for b in task.bands[1:])
-        if off0 <= self.conv_off_sq:
-            finish(task.ell, task.bands, True)
-            return
-
-        y0 = np.concatenate(task.bands)
-        slices = _band_slices(nb, mb)
 
         if self.wegner:
-            wegner = _wegner_band_rhs(nb, mb)
+            wegner = _wegner_band_rhs(nb)
 
             def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
                 self.n_rhs += 1
                 return wegner(y)
 
-        elif _rhs_kernel is not None:
+        else:
 
             def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
                 self.n_rhs += 1
-                out = np.empty_like(y)
-                _rhs_kernel(y, out, nb, mb)
-                return out
-
-        else:  # pragma: no cover - numpy fallback
-
-            def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
-                self.n_rhs += 1
-                e = [y[s] for s in slices]
-                out = np.empty_like(y)
-                _banded_rhs_inplace(e, [out[s] for s in slices], nb, mb)
+                out = np.zeros_like(y)
+                _stencil(y, out, nb, mb)
                 return out
 
         def frob(y: np.ndarray) -> float:
-            e0 = y[slices[0]]
-            total = float(np.dot(e0, e0))
-            for s in slices[1:]:
-                b = y[s]
-                total += 2.0 * float(np.dot(b, b))
-            return math.sqrt(total)
-
-        def off_sq(y: np.ndarray) -> float:
-            total = 0.0
-            for s in slices[1:]:
-                b = y[s]
-                total += 2.0 * float(np.dot(b, b))
-            return total
+            return math.sqrt(float(np.dot(y[:nb], y[:nb])) + _off_sq(y, nb))
 
         stepper = Dopri54(
             rhs,
@@ -586,12 +542,12 @@ class _BandedFlow:
         )
         self.n_tasks += 1
 
-        trace0 = float(y0[slices[0]].sum())
+        trace0 = float(y0[:nb].sum())
         frob0_sq_b = frob(y0) ** 2
         max_tr = 0.0
         max_fr = 0.0
         max_pt = 0.0
-        prev_cum = np.cumsum(y0[slices[0]])
+        prev_cum = np.cumsum(y0[:nb])
         since_scan = 0
 
         def close_stats() -> None:
@@ -604,48 +560,55 @@ class _BandedFlow:
             )
 
         while True:
-            e = [stepper.y[s] for s in slices]
-            if off_sq(stepper.y) <= self.conv_off_sq:
+            y = stepper.y
+            if _off_sq(y, nb) <= self.conv_off_sq:
                 close_stats()
-                finish(stepper.t, e, True)
+                finish(stepper.t, y, True)
                 return
             if stepper.t >= self.ell_max:
                 close_stats()
-                finish(stepper.t, e, False)
+                finish(stepper.t, y, False)
                 return
             t_cap = min([s for s in pending if s > stepper.t] + [self.ell_max])
             try:
                 stepper.step(t_cap)
             except StepSizeUnderflow as exc:
                 close_stats()
-                raise StiffFlowError(exc.t, frob(stepper.y) ** 2, off_sq(stepper.y)) from exc
+                raise StiffFlowError(exc.t, frob(stepper.y) ** 2, _off_sq(stepper.y, nb)) from exc
 
-            e = [stepper.y[s] for s in slices]
-            diag = e[0]
+            y = stepper.y
+            diag = y[:nb]
             max_tr = max(max_tr, abs(float(diag.sum()) - trace0))
-            max_fr = max(max_fr, abs(frob(stepper.y) ** 2 - frob0_sq_b))
+            max_fr = max(max_fr, abs(frob(y) ** 2 - frob0_sq_b))
             cum = np.cumsum(diag)
             max_pt = max(max_pt, float(np.max(cum - prev_cum)))
             prev_cum = cum
             if cfg.record_steps:
-                self._emit_step_row(stepper.t, e)
+                self._emit_step_row(stepper.t, y)
+            e = y.reshape(mb + 1, nb)
             if stepper.t in pending and stepper.t < self.ell_max:
-                self._record_snapshot(stepper.t, task.start, e)
+                self._write(self.snaps[stepper.t], task.start, e)
                 pending = [s for s in pending if s > stepper.t]
 
             since_scan += 1
             if since_scan < _DEFLATE_EVERY:
                 continue
             since_scan = 0
-            cuts = self._deflation_cuts(e, nb, mb)
+            cuts = self._deflation_cuts(e)
             if cuts:
-                for c in cuts:
-                    self._zero_boundary(e, task.start, c, nb, mb, stepper.t)
+                # Zero every coupling that crosses a cut: slot (k, c) does
+                # when c + k reaches the end of the sub-block holding c.
+                edges = [0, *cuts, nb]
+                ends = np.repeat(edges[1:], np.diff(edges))
+                crossing = np.add.outer(np.arange(mb + 1), np.arange(nb)) >= ends
+                removed = e[crossing]
+                self.report.frobenius_drift += (
+                    2.0 * float(np.dot(removed, removed)) / max(self.frob0_sq, 1e-300)
+                )
+                e[crossing] = 0.0
+                self.n_deflations += len(cuts)
                 close_stats()
-                edges = [0] + cuts + [nb]
-                for lo, hi in zip(edges[:-1], edges[1:]):
-                    sub = _sub_bands(e, lo, hi - lo, mb)
-                    tasks.append(_Task(task.start + lo, sub, stepper.t, stepper.h))
+                self._push_blocks(tasks, e, task.start, cuts, stepper.t, stepper.h)
                 return
 
 
@@ -667,18 +630,17 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
     """
     config = config or FlowConfig()
     wegner = config.generator is GeneratorKind.WEGNER
-    n, m = h0.dim, h0.bandwidth
-    bands = [h0.band(j) for j in range(m + 1)]
+    n = h0.dim
+    rows = h0.rows()
     if wegner:  # Wegner's generator fills the band: flow at full bandwidth
         if n > _WEGNER_CAP:
             raise ValueError(
                 f"Wegner generator runs dense and is capped at N <= {_WEGNER_CAP}"
             )
-        bands += [np.zeros(n - j) for j in range(m + 1, n)]
-        m = n - 1
+        rows = np.vstack([rows, np.zeros((n - rows.shape[0], n))])
     # Flow H / 2^k with max|h_nm| / 2^k in [0.5, 1); ell scales as 2^k
     # (2^2k for Wegner).
-    k = int(np.frexp(max(float(np.max(np.abs(b))) for b in bands))[1])
+    k = int(np.frexp(float(np.max(np.abs(rows))))[1])
     k_ell = 2 * k if wegner else k
 
     def scale_ell(ell: float) -> float:
@@ -693,7 +655,7 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
         ell_max=None if config.ell_max is None else scale_ell(config.ell_max),
         snapshot_ells=scaled_ells,
     )
-    h = BandedSymmetricMatrix(n, m, [_ldexp(b, -k) for b in bands])
+    h = BandedSymmetricMatrix.from_rows(_ldexp(rows, -k))
     try:
         res = _BandedFlow(h, scaled).run()
     except StiffFlowError as exc:
@@ -704,7 +666,7 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
         ) from exc.__cause__
 
     def unscale(mat: BandedSymmetricMatrix) -> BandedSymmetricMatrix:
-        return BandedSymmetricMatrix(n, m, [_ldexp(mat.band(j), k) for j in range(m + 1)])
+        return BandedSymmetricMatrix.from_rows(_ldexp(mat.rows(), k))
 
     original_ell = dict(zip(scaled_ells, config.snapshot_ells))
     ell_final = float(_ldexp(res.ell_final, -k_ell))

@@ -162,7 +162,7 @@ def eigenvalues_dense(matrix) -> SpectrumResult:
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entry in dense input")
     scale = max(float(np.max(np.abs(a))), 1e-300)
-    if float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1.0):
+    if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("input is not symmetric within 1e-12")
     if n == 1:
         return SpectrumResult(a[0:1, 0].copy(), 0.0)

@@ -2,9 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandflow.band import (
     BandedSymmetricMatrix,
+    boundary_coupling_sq,
     make_banded,
     read_matrix,
     split_irreducible,
@@ -107,6 +110,18 @@ class TestAccess:
         with pytest.raises(AttributeError):
             h.dim = 7
 
+    def test_row_layout(self):
+        h = make_banded(3, 1, {(0, 0): 1, (1, 1): 2, (2, 2): 3, (0, 1): 4, (1, 2): 5})
+        assert np.array_equal(h.rows(), [[1.0, 2.0, 3.0], [4.0, 5.0, 0.0]])
+        with pytest.raises(ValueError):
+            h.rows()[1, 2] = 6.0
+        again = BandedSymmetricMatrix.from_rows(h.rows())
+        assert np.array_equal(again.to_dense(), h.to_dense())
+
+    def test_from_rows_rejects_nonzero_padding(self):
+        with pytest.raises(ValueError, match="padding"):
+            BandedSymmetricMatrix.from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
     def test_from_dense_round_trip(self):
         h = random_banded(3, 7, 2)
         again = BandedSymmetricMatrix.from_dense(h.to_dense())
@@ -142,6 +157,38 @@ class TestSplitIrreducible:
         # (0,2) crosses the would-be cut after index 1 at bandwidth 2
         h = make_banded(3, 2, {(0, 2): 0.5})
         assert [(b.start, b.end) for b in split_irreducible(h)] == [(0, 3)]
+
+
+    def test_small_coupling_after_unit_coupling(self):
+        # 1 + 1e-20 - 1 == 0: a difference of running sums would cut here
+        h = make_banded(3, 1, {(0, 1): 1.0, (1, 2): 1e-10})
+        assert [(b.start, b.end) for b in split_irreducible(h)] == [(0, 3)]
+
+
+@st.composite
+def mixed_banded(draw):
+    """Banded matrices whose entries are exact zeros or of magnitude 1 or 1e-10."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, n - 1))
+    value = st.sampled_from([0.0, 1.0, -0.75, 1e-10, -1.5e-10])
+    bands = [draw(st.lists(value, min_size=n - k, max_size=n - k)) for k in range(m + 1)]
+    return BandedSymmetricMatrix(n, m, bands)
+
+
+class TestBoundaryCoupling:
+    @settings(max_examples=200, deadline=None)
+    @given(h=mixed_banded())
+    def test_matches_per_cut_sum(self, h):
+        cross = boundary_coupling_sq(h.rows())
+        assert cross.shape == (h.dim - 1,)
+        for c in range(1, h.dim):
+            entries = [
+                h.get(n, k)
+                for n in range(c)
+                for k in range(c, min(n + h.bandwidth, h.dim - 1) + 1)
+            ]
+            assert cross[c - 1] == pytest.approx(sum(v * v for v in entries), rel=1e-12)
+            assert (cross[c - 1] == 0.0) == all(v == 0.0 for v in entries)
 
 
 class TestTextFormat:

@@ -295,11 +295,28 @@ class TestExitCodes:
         assert rc == 3
         self._one_line_error(capsys)
 
-    @pytest.mark.parametrize("flags", [["--delta-max", "-1"], ["--rtol", "-1"]])
+    @pytest.mark.parametrize("flags", [["--delta-max", "-1"], ["--rtol", "-1"], ["--n-list", "0"]])
     def test_fig1_bad_flags(self, capsys, monkeypatch, flags):
         monkeypatch.setenv("BANDFLOW_THREADS", "2")
         rc = main(["fig1", "--n-list", "2", "--grid-points", "2", *flags])
         assert rc == 3
+        self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "{m}", "--trace-out", "{bad}"],
+        ["spectrum", "--model", "lipkin", "--out", "{bad}"],
+        ["fig1", "--n-list", "2", "--grid-points", "2", "--out", "{bad}"],
+        ["compare-generators", "--out", "{bad}"],
+    ])
+    def test_unwritable_output(self, tmp_path, capsys, monkeypatch, argv):
+        def no_flow(h0, config=None):
+            raise AssertionError("a flow ran before the output was opened")
+
+        monkeypatch.setattr(cli, "integrate_flow", no_flow)
+        monkeypatch.setenv("BANDFLOW_THREADS", "1")
+        m = write_file(tmp_path, "m.txt", make_banded(2, 1, {(0, 1): 1.0}))
+        bad = str(tmp_path / "missing" / "x.csv")
+        assert main([a.format(m=m, bad=bad) for a in argv]) == 3
         self._one_line_error(capsys)
 
     def test_stalled_flow_exit_2(self, tmp_path, capsys, monkeypatch):

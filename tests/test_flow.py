@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandflow import ode
+from bandflow import flow, ode
 from bandflow.band import BandedSymmetricMatrix, make_banded, split_irreducible
 from bandflow.flow import (
     FlowConfig,
@@ -143,6 +143,24 @@ class TestGenerators:
         got = mielke_rhs(h).to_dense()
         scale = np.max(np.abs(expect)) + 1e-300
         assert np.max(np.abs(got - expect)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (12, 3), (9, 8), (30, 5)])
+    def test_stencils_on_row_layout(self, n, m):
+        # Both stencils read band k at offset k*n of the flat state and touch
+        # no padding slot: NaN there must not reach the output, which must
+        # keep its own padding at exactly 0.
+        h = random_banded(n + m, n, m)
+        expect = mielke_rhs(h).rows()
+        pad = np.add.outer(np.arange(m + 1), np.arange(n)) >= n
+        y = h.rows().copy()
+        y[pad] = np.nan
+        scale = max(np.max(np.abs(expect)), 1e-300)
+        for stencil, tol in ((flow._banded_rhs_inplace, 0.0), (flow._rhs_kernel_py, 1e-13)):
+            out = np.zeros(y.size)
+            stencil(y.ravel(), out, n, m)
+            got = out.reshape(m + 1, n)
+            assert np.all(got[pad] == 0.0)
+            assert np.max(np.abs(got - expect)) <= tol * scale
 
     def test_wegner_rhs_diagonal_fixed_point(self):
         assert np.all(wegner_rhs(np.diag([1.0, 3.0, -2.0])) == 0.0)

@@ -164,6 +164,13 @@ class TestDense:
         with pytest.raises(ValueError, match="symmetric"):
             eigenvalues_dense([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
 
+    def test_symmetry_bound_is_relative(self):
+        # below unit scale an absolute 1e-12 accepted this and returned [0, 0]
+        with pytest.raises(ValueError, match="symmetric"):
+            eigenvalues_dense([[0.0, 1e-200], [-1e-200, 0.0]])
+        res = eigenvalues_dense([[0.0, 1e-200], [1e-200, 0.0]])
+        np.testing.assert_allclose(res.eigenvalues, [-1e-200, 1e-200], rtol=1e-13)
+
     def test_rejects_oversize(self):
         with pytest.raises(ValueError, match="512"):
             eigenvalues_dense(np.eye(513))
