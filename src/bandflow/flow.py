@@ -28,7 +28,10 @@ total perturbation is kept below half the convergence tolerance.
 The integrator is the DOP853 pair (see :mod:`bandflow.ode`).  It replaced
 Dormand-Prince 5(4) because at the default rel_tol of 1e-10 the step is
 limited by accuracy, not stability, so the 8th-order step needs about a
-quarter of the steps and half the RHS evaluations per flow.
+quarter of the steps and half the RHS evaluations per flow.  Deflation
+splits off 2x2 blocks more than any other size, and the sign flow of a
+2x2 block (the Toda flow of a pair) has an exact solution, so such blocks
+are evaluated in closed form and build no stepper.
 
 Every flow runs on H / 2^k, with 2^k the binary exponent of max|h_nm|, so
 that squared entries and norms neither overflow nor underflow at any
@@ -174,12 +177,14 @@ class TraceRow:
 class FlowStats:
     """Work done by one flow.  Counts only, so equal inputs give equal stats.
 
-    n_tasks counts block integrations that built a stepper (blocks that
-    arrive converged cost nothing and are not counted); n_deflations counts
-    block boundaries zeroed.  Every attempted step costs 12 RHS evaluations,
-    every stepper one more, and every automatic initial-step estimate one
-    more; only the input's irreducible blocks estimate their first step,
-    blocks split off later inherit it.
+    n_tasks counts block integrations that built a stepper; n_exact counts
+    2x2 blocks of the sign flow solved in closed form, which build none
+    (blocks that arrive converged cost nothing and count in neither).
+    n_deflations counts block boundaries zeroed.  Every attempted step
+    costs 12 RHS evaluations, every stepper one more, and every automatic
+    initial-step estimate one more; only an irreducible block of the input
+    that builds a stepper estimates its first step, blocks split off later
+    inherit it, so an irreducible 2x2 input costs no RHS evaluation.
     """
 
     n_rhs: int = 0
@@ -187,6 +192,7 @@ class FlowStats:
     n_rejected: int = 0
     n_tasks: int = 0
     n_deflations: int = 0
+    n_exact: int = 0
 
 
 @dataclass
@@ -350,6 +356,35 @@ def _off_sq(y: np.ndarray, n: int) -> float:
     return 2.0 * float(np.dot(off, off))
 
 
+def _pair_flow(rows: np.ndarray, ell0: float, conv_off_sq: float):
+    """Exact sign flow of the 2x2 block with row array rows from ell0.
+
+    The sign flow is the symmetric Toda flow (Moser 1975; Deift, Nanda &
+    Tomei 1983).  For [[a, b], [b, c]] with D = a - c it reads D' = -4 b^2,
+    b' = D b at fixed trace T, so R^2 = D^2 + 4 b^2 is conserved and
+        D = -R tanh(u),  b = sign(b0) (R/2) sech(u),  u = R (ell - ell0) + phi0,
+    with phi0 = atanh(-D0 / R).  Returns state(ell), the flattened row
+    array [a, c, b, 0] at ell, and the analytic ell at which 2 b^2 falls to
+    conv_off_sq, from cosh(u) = R / sqrt(2 conv_off_sq) (inf if never).
+    """
+    (a0, c0), (b0, _) = rows
+    t, d0 = a0 + c0, a0 - c0
+    r = math.hypot(d0, 2.0 * b0)
+    # phi0 = log((R - D0) / (R + D0)) / 2, the side that cancels formed as
+    # 4 b0^2 / (R + |D0|); taken apart in logs, no square can underflow.
+    phi0 = math.copysign(math.log(r + abs(d0)) - math.log(2.0 * abs(b0)), -d0)
+
+    def state(ell: float) -> np.ndarray:
+        u = r * (ell - ell0) + phi0
+        e = math.exp(-abs(u))  # tanh and sech through e^2 = e^{-2|u|}: no overflow
+        q = e * e
+        d = -math.copysign(r * (1.0 - q) / (1.0 + q), u)
+        return np.array([0.5 * (t + d), 0.5 * (t - d), math.copysign(r * e / (1.0 + q), b0), 0.0])
+
+    x = r / math.sqrt(2.0 * conv_off_sq) if conv_off_sq > 0.0 else math.inf
+    return state, ell0 + (math.acosh(max(x, 1.0)) - phi0) / r
+
+
 @dataclass
 class _Task:
     start: int
@@ -361,12 +396,12 @@ class _Task:
 class _BandedFlow:
     """Flow driver for both generators.
 
-    The sign generator flows with dynamic block deflation.  Wegner's
-    generator, whose input arrives widened to M = N - 1, and steps mode
-    integrate the whole matrix as one undeflated system.  Each block's
-    state is its row array flattened; the assembled final and snapshot
-    matrices are (M+1) x N row arrays into which every block writes its
-    column slice.
+    The sign generator flows with dynamic block deflation, and its 2x2
+    blocks flow in closed form.  Wegner's generator, whose input arrives
+    widened to M = N - 1, and steps mode integrate the whole matrix as one
+    undeflated system.  Each block's state is its row array flattened; the
+    assembled final and snapshot matrices are (M+1) x N row arrays into
+    which every block writes its column slice.
     """
 
     def __init__(self, h0: BandedSymmetricMatrix, config: FlowConfig):
@@ -405,7 +440,7 @@ class _BandedFlow:
         self.ell_final = 0.0
         self.final = rows0.copy()
         self.n_rhs = self.n_accepted = self.n_rejected = 0
-        self.n_tasks = self.n_deflations = 0
+        self.n_tasks = self.n_deflations = self.n_exact = 0
         if config.record_steps:
             self._emit_step_row(0.0, rows0.ravel())
 
@@ -487,7 +522,7 @@ class _BandedFlow:
             diagnostics=self.report,
             step_trace=self.step_rows,
             stats=FlowStats(self.n_rhs, self.n_accepted, self.n_rejected,
-                            self.n_tasks, self.n_deflations),
+                            self.n_tasks, self.n_deflations, self.n_exact),
         )
 
     def _run_task(self, task: _Task, tasks: deque) -> None:
@@ -513,6 +548,62 @@ class _BandedFlow:
             finish(task.ell, y0, True)
             return
 
+        def frob(y: np.ndarray) -> float:
+            return math.sqrt(float(np.dot(y[:nb], y[:nb])) + _off_sq(y, nb))
+
+        trace0 = float(y0[:nb].sum())
+        frob0_sq_b = frob(y0) ** 2
+        max_tr = 0.0
+        max_fr = 0.0
+        max_pt = 0.0
+        prev_cum = np.cumsum(y0[:nb])
+
+        def track(y: np.ndarray) -> None:
+            nonlocal max_tr, max_fr, max_pt, prev_cum
+            diag = y[:nb]
+            max_tr = max(max_tr, abs(float(diag.sum()) - trace0))
+            max_fr = max(max_fr, abs(frob(y) ** 2 - frob0_sq_b))
+            cum = np.cumsum(diag)
+            max_pt = max(max_pt, float(np.max(cum - prev_cum)))
+            prev_cum = cum
+
+        def close_stats(n_accepted: int = 0, n_rejected: int = 0) -> None:
+            self.n_accepted += n_accepted
+            self.n_rejected += n_rejected
+            self.report.trace_drift += max_tr
+            self.report.frobenius_drift += max_fr / max(self.frob0_sq, 1e-300)
+            self.report.partial_trace_violation = max(
+                self.report.partial_trace_violation, max_pt
+            )
+
+        if nb == 2 and not self.single:
+            # A pair flows in closed form (the Toda flow), with no stepper.
+            state, end = _pair_flow(task.rows, task.ell, self.conv_off_sq)
+            nudge = math.ulp(end)
+            while end < self.ell_max:  # step past rounding at the crossing
+                y = state(end)
+                if _off_sq(y, 2) <= self.conv_off_sq:
+                    break
+                end, nudge = end + nudge, 2.0 * nudge
+            else:  # cut short: evaluate at ell_max, where a deflation may fire
+                end = self.ell_max
+                y = state(end)
+            self.n_exact += 1
+            for s in pending:  # ascending, so drifts are tracked in ell order
+                if s < end:
+                    snap = state(s)
+                    track(snap)
+                    self._write(self.snaps[s], task.start, snap.reshape(2, 2))
+            pending = [s for s in pending if s >= end]
+            track(y)
+            close_stats()
+            if _off_sq(y, 2) > self.conv_off_sq and self._deflation_cuts(y.reshape(2, 2)):
+                self.report.frobenius_drift += 2.0 * float(y[2]) ** 2 / max(self.frob0_sq, 1e-300)
+                y[2] = 0.0
+                self.n_deflations += 1
+            finish(end, y, _off_sq(y, 2) <= self.conv_off_sq)
+            return
+
         if self.wegner:
             wegner = _wegner_band_rhs(nb)
 
@@ -528,9 +619,6 @@ class _BandedFlow:
                 _stencil(y, out, nb, mb)
                 return out
 
-        def frob(y: np.ndarray) -> float:
-            return math.sqrt(float(np.dot(y[:nb], y[:nb])) + _off_sq(y, nb))
-
         stepper = Dopri54(
             rhs,
             task.ell,
@@ -541,48 +629,27 @@ class _BandedFlow:
             first_step=task.h0,
         )
         self.n_tasks += 1
-
-        trace0 = float(y0[:nb].sum())
-        frob0_sq_b = frob(y0) ** 2
-        max_tr = 0.0
-        max_fr = 0.0
-        max_pt = 0.0
-        prev_cum = np.cumsum(y0[:nb])
         since_scan = 0
-
-        def close_stats() -> None:
-            self.n_accepted += stepper.n_accepted
-            self.n_rejected += stepper.n_rejected
-            self.report.trace_drift += max_tr
-            self.report.frobenius_drift += max_fr / max(self.frob0_sq, 1e-300)
-            self.report.partial_trace_violation = max(
-                self.report.partial_trace_violation, max_pt
-            )
 
         while True:
             y = stepper.y
             if _off_sq(y, nb) <= self.conv_off_sq:
-                close_stats()
+                close_stats(stepper.n_accepted, stepper.n_rejected)
                 finish(stepper.t, y, True)
                 return
             if stepper.t >= self.ell_max:
-                close_stats()
+                close_stats(stepper.n_accepted, stepper.n_rejected)
                 finish(stepper.t, y, False)
                 return
             t_cap = min([s for s in pending if s > stepper.t] + [self.ell_max])
             try:
                 stepper.step(t_cap)
             except StepSizeUnderflow as exc:
-                close_stats()
+                close_stats(stepper.n_accepted, stepper.n_rejected)
                 raise StiffFlowError(exc.t, frob(stepper.y) ** 2, _off_sq(stepper.y, nb)) from exc
 
             y = stepper.y
-            diag = y[:nb]
-            max_tr = max(max_tr, abs(float(diag.sum()) - trace0))
-            max_fr = max(max_fr, abs(frob(y) ** 2 - frob0_sq_b))
-            cum = np.cumsum(diag)
-            max_pt = max(max_pt, float(np.max(cum - prev_cum)))
-            prev_cum = cum
+            track(y)
             if cfg.record_steps:
                 self._emit_step_row(stepper.t, y)
             e = y.reshape(mb + 1, nb)
@@ -607,7 +674,7 @@ class _BandedFlow:
                 )
                 e[crossing] = 0.0
                 self.n_deflations += len(cuts)
-                close_stats()
+                close_stats(stepper.n_accepted, stepper.n_rejected)
                 self._push_blocks(tasks, e, task.start, cuts, stepper.t, stepper.h)
                 return
 

@@ -164,6 +164,15 @@ class TestSplitIrreducible:
         h = make_banded(3, 1, {(0, 1): 1.0, (1, 2): 1e-10})
         assert [(b.start, b.end) for b in split_irreducible(h)] == [(0, 3)]
 
+    @pytest.mark.parametrize("dim,bandwidth,entries", [
+        (2, 1, {(0, 0): 1.0, (0, 1): 1e-170}),
+        (3, 2, {(0, 0): 1.0, (0, 2): 1e-170, (1, 1): 2.0}),
+    ])
+    def test_coupling_whose_square_underflows(self, dim, bandwidth, entries):
+        # 1e-170 ** 2 == 0.0, yet the matrix is coupled across every cut
+        h = make_banded(dim, bandwidth, entries)
+        assert [(b.start, b.end) for b in split_irreducible(h)] == [(0, dim)]
+
 
 @st.composite
 def mixed_banded(draw):

@@ -423,6 +423,144 @@ class TestScaleAndStats:
         assert (exc.ell, exc.frob_sq, exc.offdiag_sq) == (1.5, 2.0, 3.0)
 
 
+def pair(a, c, b):
+    return make_banded(2, 1, {(0, 0): a, (1, 1): c, (0, 1): b})
+
+
+def stepped_pair(h, ells):
+    """Row arrays of a 2x2 flow at ells by DOP853 on the sign-flow stencil.
+
+    Steps are capped at R h <= 1/10, so a coupling far below the error
+    norm's reach is still followed in relative terms.  What limits this
+    reference is the rounding of ell summed over the steps: b comes out
+    within about 1e-10 relative over the ~700 units of R ell the tests
+    span, the diagonal within a few ulp.
+    """
+    (a, c), (b, _) = h.rows()
+
+    def rhs(_ell, y):
+        out = np.zeros(4)
+        flow._banded_rhs_inplace(y, out, 2, 1)
+        return out
+
+    stepper = Dop853(rhs, 0.0, h.rows().ravel(), rel_tol=1e-13, abs_tol=1e-300,
+                     max_step=0.1 / math.hypot(a - c, 2.0 * b))
+    states = []
+    for ell in ells:
+        while stepper.t < ell:
+            stepper.step(ell)
+        states.append(stepper.y.reshape(2, 2).copy())
+    return states
+
+
+def exact_pair(h, ell):
+    """Row array of a 2x2 flow at ell from the Toda solution in 400 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):
+        (a, c), (b, _) = [[mpmath.mpf(float(v)) for v in row] for row in h.rows()]
+        r = mpmath.sqrt((a - c) ** 2 + 4 * b * b)
+        u = r * mpmath.mpf(ell) + mpmath.atanh((c - a) / r)
+        d = -r * mpmath.tanh(u)
+        return np.array([[float((a + c + d) / 2), float((a + c - d) / 2)],
+                         [float(mpmath.sign(b) * r / 2 * mpmath.sech(u)), 0.0]])
+
+
+class TestClosedFormPair:
+    """2x2 blocks of the sign flow are solved exactly, not stepped."""
+
+    @staticmethod
+    def check(h, convergence_tol=1e-10, high_precision=False):
+        res = integrate_flow(h, FlowConfig(convergence_tol=convergence_tol))
+        assert res.converged
+        assert res.stats == FlowStats(n_exact=1)  # no stepper, no RHS evaluation
+        end = res.ell_final
+        assert end > 0.0
+        assert res.final.offdiag_norm_sq() <= convergence_tol**2 * res.final.frobenius_norm_sq()
+        # snapshots before the convergence ell are the exact state there,
+        # later ones the final state
+        ells = (0.25 * end, 0.75 * end, end, 2.0 * end)
+        snaps = integrate_flow(h, FlowConfig(convergence_tol=convergence_tol,
+                                             snapshot_ells=ells)).snapshots
+        assert [e for e, _ in snaps] == list(ells)
+        for _e, snap in snaps[2:]:
+            assert np.array_equal(snap.rows(), res.final.rows())
+        got = [snap.rows() for _e, snap in snaps[:2]] + [res.final.rows()]
+        r = math.hypot(h.get(0, 0) - h.get(1, 1), 2.0 * h.get(0, 1))
+        refs = [(stepped_pair(h, ells[:3]), 1e-9)]
+        if high_precision:
+            refs.append(([exact_pair(h, e) for e in ells[:3]], 1e-12))
+        for want, b_rtol in refs:
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g[0], w[0], rtol=0.0, atol=1e-12 * r)
+                np.testing.assert_allclose(g[1, 0], w[1, 0], rtol=b_rtol, atol=0.0)
+                assert g[1, 1] == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        a=st.floats(-1.0, 1.0),
+        c=st.floats(-1.0, 1.0),
+        b=st.floats(1e-3, 1.0),
+        b_sign=st.sampled_from([-1.0, 1.0]),
+        j=st.integers(-20, 20),
+    )
+    def test_random_pairs(self, a, c, b, b_sign, j):
+        self.check(pair(*np.ldexp([a, c, b_sign * b], j)))
+
+    @pytest.mark.parametrize("a,c,b", [
+        (0.5, 0.5, 0.3), (0.5, 0.5, -0.3),  # D0 = 0
+        (1.0, -1.0, 0.2), (1.0, -1.0, -0.2),  # D0 > 0: the flow swaps the pair
+        (-1.0, 1.0, 0.2), (-1.0, 1.0, -0.2),  # D0 < 0: already ordered
+        (-3.0, 5.0, 0.7), (2e-5, -1e-5, 3e-6),
+    ])
+    def test_fixed_pairs(self, a, c, b):
+        self.check(pair(a, c, b), high_precision=True)
+
+    @pytest.mark.parametrize("a,c", [(0.3, -0.4), (-0.4, 0.3)])
+    @pytest.mark.parametrize("b", [1e-150, -1e-150])
+    def test_tiny_coupling(self, a, c, b):
+        # b0^2 is 1e-300: only a tolerance below it keeps the pair flowing
+        self.check(pair(a, c, b), convergence_tol=1e-155, high_precision=True)
+
+    @pytest.mark.parametrize("ell_max,converged,ell_final,n_deflations", [
+        (1.0, False, 1.0, 0), (2.0, True, 2.0, 1), (3.0, True, None, 0),
+    ])
+    def test_ell_max_cut_short(self, ell_max, converged, ell_final, n_deflations):
+        # The stepped flow deflated this pair by the quadratic rule at
+        # ell ~ 1.3, long before 2 b^2 reaches the convergence threshold at
+        # ell ~ 2.66, and so reported converged for any ell_max past 1.3.
+        # Cut short at ell_max, the exact state is offered to the same rule.
+        h = pair(-3.0, 5.0, 0.7)
+        res = integrate_flow(h, FlowConfig(ell_max=ell_max, snapshot_ells=(0.5, 3.5)))
+        assert res.converged is converged
+        assert res.stats == FlowStats(n_deflations=n_deflations, n_exact=1)
+        if ell_final is None:
+            assert 2.6 < res.ell_final < 2.7
+        else:
+            assert res.ell_final == ell_final
+        if converged:
+            r = math.hypot(8.0, 1.4)
+            np.testing.assert_allclose(res.final.diagonal(), [1 - r / 2, 1 + r / 2],
+                                       rtol=0.0, atol=1e-9)
+            assert res.final.offdiag_norm_sq() <= 1e-20 * res.final.frobenius_norm_sq()
+            assert res.diagnostics.frobenius_drift <= 1e-9
+        else:
+            assert res.final.offdiag_norm_sq() > 1e-20 * res.final.frobenius_norm_sq()
+        # the snapshot at 0.5 is the exact state there, the one past the end
+        # the final state
+        np.testing.assert_allclose(res.snapshots[0][1].rows(), exact_pair(h, 0.5),
+                                   rtol=1e-12, atol=0.0)
+        assert np.array_equal(res.snapshots[1][1].rows(), res.final.rows())
+
+    def test_tiny_coupling_converged_on_arrival(self):
+        # 1e-170 ** 2 underflows: the pair is irreducible but arrives
+        # converged, so the closed form (and its logarithm) never runs
+        h = pair(1.0, 0.0, 1e-170)
+        res = integrate_flow(h)
+        assert res.converged and res.ell_final == 0.0
+        assert res.stats == FlowStats()
+        assert np.array_equal(res.final.rows(), h.rows())
+
+
 @st.composite
 def structured_banded(draw, n_max, m_max):
     """Random banded matrices with exact-zero couplings (reducible inputs)
