@@ -229,12 +229,9 @@ def _spectrum_lipkin(args) -> tuple[list, int]:
 
 def _spectrum_spinboson(args) -> tuple[list, int]:
     n_max = max(args.level_list)
-    base = SpinBosonParams(
-        delta=args.delta,
-        lam=args.lam,
-        omega=args.omega,
-        branch=args.branch,
-        n_trunc=args.n_trunc or models.default_n_trunc(n_max, args.lam, args.omega),
+    base = SpinBosonParams(delta=args.delta, lam=args.lam, omega=args.omega, branch=args.branch)
+    base = dataclasses.replace(  # the truncation rule reads validated parameters
+        base, n_trunc=args.n_trunc or models.default_n_trunc(n_max, base.lam, base.omega)
     )
     params = models.certify_truncation(base, n_max, max_dim=args.n_trunc_max)
     h = models.build_spinboson(params)

@@ -31,7 +31,10 @@ limited by accuracy, not stability, so the 8th-order step needs about a
 quarter of the steps and half the RHS evaluations per flow.  Deflation
 splits off 2x2 blocks more than any other size, and the sign flow of a
 2x2 block (the Toda flow of a pair) has an exact solution, so such blocks
-are evaluated in closed form and build no stepper.
+are evaluated in closed form and build no stepper.  The sign flow of any
+block is the symmetric QR flow, so blocks of 3 to _JUMP_MAX rows advance
+by exact QR jumps instead of steps; only larger blocks, Wegner flows and
+steps mode build a stepper.
 
 Every flow runs on H / 2^k, with 2^k the binary exponent of max|h_nm|, so
 that squared entries and norms neither overflow nor underflow at any
@@ -75,13 +78,12 @@ __all__ = [
 _WEGNER_CAP = 256
 _DECAY_FIT_FLOOR = 1e-12  # times ||H||_F; below this, roundoff dominates log fits
 _DEFLATE_EVERY = 4  # accepted steps between boundary scans
-
-try:  # hot loop only; the numpy stencil below is the reference implementation
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
+_JUMP_MAX = 32  # largest sign-flow block advanced by exact QR jumps
+_JUMP_BISECTIONS = 2  # halvings that place a deflation inside a jump
+_UNIT_ROUNDOFF = 2.0**-53
+# 1/k! for k = 0..15, the Taylor polynomial of the jump's exponential, as
+# its cubic pieces in B from the highest: row r holds k = 12-4r .. 15-4r.
+_TAYLOR_PIECES = (1.0 / np.cumprod([1.0, *range(1, 16)])).reshape(4, 4)[::-1].copy()
 
 
 class GeneratorKind(enum.Enum):
@@ -178,13 +180,16 @@ class FlowStats:
     """Work done by one flow.  Counts only, so equal inputs give equal stats.
 
     n_tasks counts block integrations that built a stepper; n_exact counts
-    2x2 blocks of the sign flow solved in closed form, which build none
-    (blocks that arrive converged cost nothing and count in neither).
-    n_deflations counts block boundaries zeroed.  Every attempted step
-    costs 12 RHS evaluations, every stepper one more, and every automatic
-    initial-step estimate one more; only an irreducible block of the input
-    that builds a stepper estimates its first step, blocks split off later
-    inherit it, so an irreducible 2x2 input costs no RHS evaluation.
+    2x2 blocks of the sign flow solved in closed form, and n_jumps the
+    exact QR jumps that advance sign-flow blocks of 3 to 32 rows, neither
+    of which builds a stepper (blocks that arrive converged cost nothing
+    and count nowhere).  n_deflations counts block boundaries zeroed.
+    Every attempted step costs 12 RHS evaluations, every stepper one more,
+    and every automatic initial-step estimate one more; only an irreducible
+    block of the input that builds a stepper estimates its first step,
+    blocks split off later inherit it, so an irreducible sign-flow input of
+    at most 32 rows costs no RHS evaluation.  A jump halved and retried
+    counts once.
     """
 
     n_rhs: int = 0
@@ -193,6 +198,7 @@ class FlowStats:
     n_tasks: int = 0
     n_deflations: int = 0
     n_exact: int = 0
+    n_jumps: int = 0
 
 
 @dataclass
@@ -249,33 +255,6 @@ def _banded_rhs_inplace(y: np.ndarray, out: np.ndarray, n: int, m: int) -> None:
             t = y[odi : odi + w] * y[oi + d : oi + n - i]
             t += t
             rd[:w] -= t
-
-
-def _rhs_kernel_py(y: np.ndarray, out: np.ndarray, n: int, m: int) -> None:
-    """Loop form of :func:`_banded_rhs_inplace` (same layout, out zeroed)."""
-    for j in range(1, m + 1):
-        oj = j * n
-        for i in range(n - j):
-            v = 2.0 * y[oj + i] * y[oj + i]
-            out[j + i] += v
-            out[i] -= v
-    for d in range(1, m + 1):
-        od = d * n
-        for i in range(n - d):
-            out[od + i] = (y[i] - y[i + d]) * y[od + i]
-        for i2 in range(1, m - d + 1):
-            oi = i2 * n
-            odi = (d + i2) * n
-            for a in range(n - d - i2):
-                out[od + i2 + a] += 2.0 * y[oi + a] * y[odi + a]
-                out[od + a] -= 2.0 * y[odi + a] * y[oi + d + a]
-
-
-if _HAVE_NUMBA:
-    # no fastmath: structural zeros must stay exact
-    _stencil = _njit(cache=True)(_rhs_kernel_py)
-else:  # pragma: no cover
-    _stencil = _banded_rhs_inplace
 
 
 def mielke_rhs(h: BandedSymmetricMatrix) -> BandedSymmetricMatrix:
@@ -350,6 +329,13 @@ def _gershgorin_radii(rows: np.ndarray) -> np.ndarray:
     return radii
 
 
+def _has_unsorted_pair(rows: np.ndarray) -> bool:
+    """Whether some n < m with h_nm != 0 has h_nn > h_mm."""
+    d, n = rows[0], rows.shape[1]
+    return any(np.any((rows[k, : n - k] != 0.0) & (d[: n - k] > d[k:]))
+               for k in range(1, rows.shape[0]))
+
+
 def _off_sq(y: np.ndarray, n: int) -> float:
     """Off-diagonal norm squared of a flattened row array of width n."""
     off = y[n:]
@@ -385,6 +371,69 @@ def _pair_flow(rows: np.ndarray, ell0: float, conv_off_sq: float):
     return state, ell0 + (math.acosh(max(x, 1.0)) - phi0) / r
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring a degree-15 Taylor polynomial.
+
+    a is divided by 2^j so that its 1-norm B is at most 1/2, where the
+    dropped terms stay below 1e-18 relative.  The polynomial is evaluated by
+    Paterson-Stockmeyer: its four cubic pieces in B at once, then Horner in
+    B^4 (six products in all); the result is squared j times.
+    """
+    n = a.shape[0]
+    norm = float(np.max(np.abs(a).sum(axis=0)))
+    j = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
+    b = a * 2.0**-j  # exact
+    b2 = b @ b
+    powers = np.stack((np.eye(n), b, b2, b2 @ b)).reshape(4, n * n)
+    pieces = (_TAYLOR_PIECES @ powers).reshape(4, n, n)
+    b4 = b2 @ b2
+    e = pieces[0]
+    for piece in pieces[1:]:
+        e = e @ b4
+        e += piece
+    for _ in range(j):
+        e = e @ e
+    return e
+
+
+def _qr_jump(h: np.ndarray, dl: float, sigma: float) -> np.ndarray:
+    """Exact sign flow of the dense block h over dl: Q^T h Q.
+
+    The sign flow is the symmetric QR (Toda) flow (Symes 1982; Deift, Nanda
+    & Tomei 1983): H(ell + dl) = Q^T H Q with e^{-dl H} = QR and diag(R) > 0.
+    The shift sigma only rescales e^{-dl H}, which leaves Q unchanged; at
+    the centre of a Gershgorin interval of width s it keeps the
+    exponential's eigenvalues in [e^{-dl s / 2}, e^{dl s / 2}].  Columns of
+    Q are accurate to about u * cond(e^{-dl H}), u the unit roundoff.
+    """
+    e = _expm(-dl * (h - sigma * np.eye(h.shape[0])))
+    q, r = np.linalg.qr(e)
+    q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    return q.T @ h @ q
+
+
+def _flow_pattern(h: np.ndarray) -> np.ndarray:
+    """Entries of the dense block h that its sign flow can make nonzero.
+
+    h_nm must join n and m within one connected component of the coupling
+    graph, whose edges are the nonzero entries (for M >= 2 components can
+    interleave), and, for n < m, lie inside that component's staircase
+    envelope: some n' <= n of the component has a nonzero h_{n'j} with
+    j >= m.  The stencil keeps every other entry exactly zero, and so does
+    the exact flow (the QR algorithm preserves staircase shapes; Arbenz &
+    Golub 1995); the envelope lies inside the band.
+    """
+    n = h.shape[0]
+    idx = np.arange(n)
+    same = (h != 0.0) | np.eye(n, dtype=bool)
+    for _ in range(math.ceil(math.log2(n))):  # joined by paths of length <= 2^i
+        same = (same.astype(float) @ same) > 0.0
+    last = np.max(np.where(h != 0.0, idx, idx[:, None]), axis=1)  # last nonzero column
+    reach = np.max(np.where(same & (idx[:, None] <= idx), last[:, None], -1), axis=0)
+    keep = np.triu(same & (idx <= reach[:, None]))
+    return keep | keep.T
+
+
 @dataclass
 class _Task:
     start: int
@@ -396,12 +445,25 @@ class _Task:
 class _BandedFlow:
     """Flow driver for both generators.
 
-    The sign generator flows with dynamic block deflation, and its 2x2
-    blocks flow in closed form.  Wegner's generator, whose input arrives
-    widened to M = N - 1, and steps mode integrate the whole matrix as one
-    undeflated system.  Each block's state is its row array flattened; the
-    assembled final and snapshot matrices are (M+1) x N row arrays into
-    which every block writes its column slice.
+    The sign generator flows with dynamic block deflation; its 2x2 blocks
+    flow in closed form, its blocks of 3 to _JUMP_MAX rows by exact QR
+    jumps, and only larger ones are stepped.  Wegner's generator, whose
+    input arrives widened to M = N - 1, and steps mode integrate the whole
+    matrix as one undeflated system.  Each block's state is its row array
+    flattened; the assembled final and snapshot matrices are (M+1) x N row
+    arrays into which every block writes its column slice.
+
+    A jump spans dl = ln(rel_tol / u) / s for the block's Gershgorin spread
+    s (u the unit roundoff), so cond(e^{-dl H}) <= rel_tol / u and the jump
+    is accurate to about rel_tol; it is clipped at snapshot ells and
+    ell_max, where it lands exactly.  What the exact flow keeps zero (see
+    :func:`_flow_pattern`) is dropped from Q^T H Q and counted in
+    frobenius_drift; a jump that would drop more than abs_tol + rel_tol
+    ||H_b||_F is halved and retried, as the stepper rejects a step, and
+    one that shrinks below 16 eps max(ell, 1) raises StiffFlowError.
+    Before the first jump and after each one, ell_max included, the block
+    is checked for convergence, then scanned for deflation.  ell_final of a
+    jumped block is the landing ell of its first converged jump.
     """
 
     def __init__(self, h0: BandedSymmetricMatrix, config: FlowConfig):
@@ -440,7 +502,7 @@ class _BandedFlow:
         self.ell_final = 0.0
         self.final = rows0.copy()
         self.n_rhs = self.n_accepted = self.n_rejected = 0
-        self.n_tasks = self.n_deflations = self.n_exact = 0
+        self.n_tasks = self.n_deflations = self.n_exact = self.n_jumps = 0
         if config.record_steps:
             self._emit_step_row(0.0, rows0.ravel())
 
@@ -461,6 +523,22 @@ class _BandedFlow:
         edges = [0, *cuts, rows.shape[1]]
         for lo, hi in zip(edges[:-1], edges[1:]):
             tasks.append(_Task(start + lo, rows[: hi - lo, lo:hi].copy(), ell, h))
+
+    def _split(self, tasks: deque, start: int, e: np.ndarray, cuts, ell: float,
+               h: float | None) -> None:
+        """Deflate the block with rows e at cuts and queue its pieces."""
+        # Zero every coupling that crosses a cut: slot (k, c) does when
+        # c + k reaches the end of the sub-block holding c.
+        edges = [0, *cuts, e.shape[1]]
+        ends = np.repeat(edges[1:], np.diff(edges))
+        crossing = np.add.outer(np.arange(e.shape[0]), np.arange(e.shape[1])) >= ends
+        removed = e[crossing]
+        self.report.frobenius_drift += (
+            2.0 * float(np.dot(removed, removed)) / max(self.frob0_sq, 1e-300)
+        )
+        e[crossing] = 0.0
+        self.n_deflations += len(cuts)
+        self._push_blocks(tasks, e, start, cuts, ell, h)
 
     def _emit_step_row(self, ell: float, y: np.ndarray) -> None:
         # Steps mode runs one task, so its state is the full matrix.
@@ -522,7 +600,7 @@ class _BandedFlow:
             diagnostics=self.report,
             step_trace=self.step_rows,
             stats=FlowStats(self.n_rhs, self.n_accepted, self.n_rejected,
-                            self.n_tasks, self.n_deflations, self.n_exact),
+                            self.n_tasks, self.n_deflations, self.n_exact, self.n_jumps),
         )
 
     def _run_task(self, task: _Task, tasks: deque) -> None:
@@ -604,6 +682,93 @@ class _BandedFlow:
             finish(end, y, _off_sq(y, 2) <= self.conv_off_sq)
             return
 
+        if nb <= _JUMP_MAX and not self.single:
+            # Exact QR jumps of the Toda flow, with no stepper.
+            k, i = np.divmod(np.arange(y0.size), nb)
+            slots = np.flatnonzero(i + k < nb)  # slot k*nb + i holds h_{i,i+k}
+            ii, jj = i[slots], i[slots] + k[slots]
+
+            def dense(y: np.ndarray) -> np.ndarray:
+                h = np.zeros((nb, nb))
+                h[ii, jj] = h[jj, ii] = y[slots]
+                return h
+
+            dropped = ~_flow_pattern(dense(y0))
+            kept = ~dropped[ii, jj]  # from here on, only slots the flow can fill
+            slots, ii, jj = slots[kept], ii[kept], jj[kept]
+            span = math.log(max(cfg.rel_tol / _UNIT_ROUNDOFF, math.e))
+
+            def jump(y: np.ndarray, ell: float, t_cap: float) -> tuple[float, np.ndarray]:
+                """Land one jump from state y at ell, at t_cap or short of it."""
+                h = dense(y)
+                e = y.reshape(mb + 1, nb)
+                radii = _gershgorin_radii(e)
+                lo, hi = float(np.min(e[0] - radii)), float(np.max(e[0] + radii))
+                dl = span / (hi - lo)
+                tol = cfg.abs_tol + cfg.rel_tol * frob(y)
+                while True:
+                    if dl <= 16.0 * np.finfo(float).eps * max(abs(ell), 1.0):
+                        close_stats()
+                        raise StiffFlowError(ell, frob(y) ** 2, _off_sq(y, nb))
+                    clipped = ell + dl >= t_cap
+                    step = t_cap - ell if clipped else dl
+                    g = _qr_jump(h, step, 0.5 * (lo + hi))
+                    removed = g[dropped]
+                    removed_sq = float(np.dot(removed, removed))
+                    if math.sqrt(removed_sq) <= tol:
+                        break
+                    dl = 0.5 * step
+                self.report.frobenius_drift += removed_sq / max(self.frob0_sq, 1e-300)
+                self.n_jumps += 1
+                y = np.zeros_like(y)
+                y[slots] = g[ii, jj]
+                return (t_cap if clipped else ell + step), y
+
+            def check(y: np.ndarray) -> tuple[bool, list[int]]:
+                """Whether y is converged, else where it may be deflated."""
+                if _off_sq(y, nb) <= self.conv_off_sq:
+                    return True, []
+                return False, self._deflation_cuts(y.reshape(mb + 1, nb))
+
+            ell, y = task.ell, y0.copy()
+            status = check(y)
+            while True:
+                converged, cuts = status
+                if converged:
+                    close_stats()
+                    finish(ell, y, True)
+                    return
+                if cuts:
+                    close_stats()
+                    self._split(tasks, task.start, y.reshape(mb + 1, nb), cuts, ell, None)
+                    return
+                if ell >= self.ell_max:
+                    close_stats()
+                    finish(ell, y, False)
+                    return
+                t_cap = min([s for s in pending if s > ell] + [self.ell_max])
+                landing = jump(y, ell, t_cap)
+                status = check(landing[1])
+                if status[1] and _has_unsorted_pair(landing[1].reshape(mb + 1, nb)):
+                    # Deflatable at the landing, where the flow is growing a
+                    # coupling (an unsorted pair; every other one shrinks):
+                    # bisect back, to within a quarter of the jump, toward
+                    # the earliest ell that converges or deflates, so that
+                    # the cut leaves that coupling small.
+                    for _ in range(_JUMP_BISECTIONS):
+                        mid = jump(y, ell, ell + 0.5 * (landing[0] - ell))
+                        mid_status = check(mid[1])
+                        if mid_status[0] or mid_status[1]:
+                            landing, status = mid, mid_status
+                        else:
+                            ell, y = mid
+                            track(y)
+                ell, y = landing
+                track(y)
+                if ell in pending and ell < self.ell_max:
+                    self._write(self.snaps[ell], task.start, y.reshape(mb + 1, nb))
+                    pending = [s for s in pending if s > ell]
+
         if self.wegner:
             wegner = _wegner_band_rhs(nb)
 
@@ -616,7 +781,7 @@ class _BandedFlow:
             def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
                 self.n_rhs += 1
                 out = np.zeros_like(y)
-                _stencil(y, out, nb, mb)
+                _banded_rhs_inplace(y, out, nb, mb)
                 return out
 
         stepper = Dopri54(
@@ -663,19 +828,8 @@ class _BandedFlow:
             since_scan = 0
             cuts = self._deflation_cuts(e)
             if cuts:
-                # Zero every coupling that crosses a cut: slot (k, c) does
-                # when c + k reaches the end of the sub-block holding c.
-                edges = [0, *cuts, nb]
-                ends = np.repeat(edges[1:], np.diff(edges))
-                crossing = np.add.outer(np.arange(mb + 1), np.arange(nb)) >= ends
-                removed = e[crossing]
-                self.report.frobenius_drift += (
-                    2.0 * float(np.dot(removed, removed)) / max(self.frob0_sq, 1e-300)
-                )
-                e[crossing] = 0.0
-                self.n_deflations += len(cuts)
                 close_stats(stepper.n_accepted, stepper.n_rejected)
-                self._push_blocks(tasks, e, task.start, cuts, stepper.t, stepper.h)
+                self._split(tasks, task.start, e, cuts, stepper.t, stepper.h)
                 return
 
 

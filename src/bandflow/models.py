@@ -234,8 +234,17 @@ def build_spinboson(params: SpinBosonParams) -> BandedSymmetricMatrix:
 
 
 def default_n_trunc(n_target: int, lam: float, omega: float) -> int:
-    """Starting truncation for reporting levels up to n_target."""
-    return max(4 * n_target, n_target + math.ceil(40.0 * lam / omega) + 20, 2)
+    """Starting truncation for reporting levels up to n_target.
+
+    Raises ValueError for non-finite lam or omega, omega <= 0, or a
+    coupling ratio 40 lam / omega that overflows.
+    """
+    ratio = 40.0 * lam / omega if omega > 0.0 else math.nan
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"no finite truncation for lam={lam!r}, omega={omega!r}: 40 lam / omega is {ratio!r}"
+        )
+    return max(4 * n_target, n_target + math.ceil(ratio) + 20, 2)
 
 
 def certify_truncation(

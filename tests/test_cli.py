@@ -302,6 +302,18 @@ class TestExitCodes:
         assert rc == 3
         self._one_line_error(capsys)
 
+    @pytest.mark.parametrize("flags", [
+        ["--omega", "0"],
+        ["--omega", "0", "--lambda", "1"],
+        ["--omega", "1e-320", "--lambda", "1"],
+        ["--lambda", "inf"],
+        ["--lambda", "nan"],
+    ])
+    def test_spinboson_bad_parameters(self, capsys, flags):
+        # the parameters are validated before the truncation rule divides by omega
+        assert main(["spectrum", "--model", "spinboson", *flags]) == 3
+        self._one_line_error(capsys)
+
     @pytest.mark.parametrize("argv", [
         ["flow", "{m}", "--trace-out", "{bad}"],
         ["spectrum", "--model", "lipkin", "--out", "{bad}"],

@@ -146,7 +146,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (12, 3), (9, 8), (30, 5)])
     def test_stencils_on_row_layout(self, n, m):
-        # Both stencils read band k at offset k*n of the flat state and touch
+        # The stencil reads band k at offset k*n of the flat state and touches
         # no padding slot: NaN there must not reach the output, which must
         # keep its own padding at exactly 0.
         h = random_banded(n + m, n, m)
@@ -154,13 +154,11 @@ class TestGenerators:
         pad = np.add.outer(np.arange(m + 1), np.arange(n)) >= n
         y = h.rows().copy()
         y[pad] = np.nan
-        scale = max(np.max(np.abs(expect)), 1e-300)
-        for stencil, tol in ((flow._banded_rhs_inplace, 0.0), (flow._rhs_kernel_py, 1e-13)):
-            out = np.zeros(y.size)
-            stencil(y.ravel(), out, n, m)
-            got = out.reshape(m + 1, n)
-            assert np.all(got[pad] == 0.0)
-            assert np.max(np.abs(got - expect)) <= tol * scale
+        out = np.zeros(y.size)
+        flow._banded_rhs_inplace(y.ravel(), out, n, m)
+        got = out.reshape(m + 1, n)
+        assert np.all(got[pad] == 0.0)
+        assert np.array_equal(got, expect)
 
     def test_wegner_rhs_diagonal_fixed_point(self):
         assert np.all(wegner_rhs(np.diag([1.0, 3.0, -2.0])) == 0.0)
@@ -401,8 +399,9 @@ class TestScaleAndStats:
     @pytest.mark.parametrize("gen", list(GeneratorKind))
     def test_rhs_count_identity(self, gen):
         # an irreducible input estimates its initial step once; every other
-        # evaluation belongs to a stepper's construction or to a step
-        h = random_banded(5, 30, 2) if gen is GeneratorKind.MIELKE else tridiag123()
+        # evaluation belongs to a stepper's construction or to a step.  A
+        # sign flow steps only blocks of more than flow._JUMP_MAX rows.
+        h = random_banded(5, 48, 2) if gen is GeneratorKind.MIELKE else tridiag123()
         stats = integrate_flow(h, FlowConfig(generator=gen)).stats
         assert stats.n_tasks >= 1 and stats.n_accepted > 0
         attempts = stats.n_accepted + stats.n_rejected
@@ -411,6 +410,15 @@ class TestScaleAndStats:
             assert stats.n_deflations >= 1
         else:
             assert (stats.n_tasks, stats.n_deflations) == (1, 0)
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (12, 2), (32, 3)])
+    def test_small_block_jumps_without_stepper(self, n, m):
+        h = random_banded(n, n, m)
+        assert len(split_irreducible(h)) == 1
+        res = integrate_flow(h)
+        assert res.converged
+        assert res.stats.n_rhs == res.stats.n_tasks == res.stats.n_accepted == 0
+        assert res.stats.n_jumps >= 1
 
     def test_stats_repeat_exactly(self):
         h = random_banded(6, 40, 3)
@@ -562,10 +570,10 @@ class TestClosedFormPair:
 
 
 @st.composite
-def structured_banded(draw, n_max, m_max):
+def structured_banded(draw, n_max, m_max, n_min=2):
     """Random banded matrices with exact-zero couplings (reducible inputs)
     and diagonal values drawn from a few levels (near-degenerate spectra)."""
-    n = draw(st.integers(2, n_max))
+    n = draw(st.integers(n_min, n_max))
     m = draw(st.integers(1, min(m_max, n - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.integers(1, n))
@@ -583,7 +591,7 @@ def coupling_components(h):
 
     For M >= 2 these can interleave: h_01 = h_12 = 0 with h_02 != 0 leaves
     {0, 2} and {1}, one block for split_irreducible, whose cuts are
-    contiguous.  The flow never couples them, so it sorts each set apart.
+    contiguous.  The flow never couples them, so each set flows apart.
     """
     root = list(range(h.dim))
 
@@ -601,6 +609,25 @@ def coupling_components(h):
     return list(groups.values())
 
 
+# Smallest leading principal minor of a component's eigenvector matrix for
+# which the sorted order is asserted (see eigenvector_minor).
+MINOR_FLOOR = 1e-6
+
+
+def eigenvector_minor(dense):
+    """Smallest |det V^T[:k, :k]| for V the eigenvectors of the symmetric
+    matrix dense, in ascending order of their eigenvalues.
+
+    The sign flow of a component is the Toda flow, H(ell) = Q^T H Q with
+    e^{-ell H} = QR, i.e. the QR algorithm run on e^{-ell H} (Symes 1982;
+    Watkins 1984), whose limit is the ascending diagonal when every such
+    minor is nonzero.  A tridiagonal component always qualifies; for M >= 2
+    a vanishing minor leaves the limit unsorted (see test_unsorted_limit).
+    """
+    _w, v = np.linalg.eigh(dense)
+    return min((abs(np.linalg.det(v.T[:k, :k])) for k in range(1, len(v))), default=1.0)
+
+
 class TestFlowProperties:
     """Invariants over random banded inputs, reducible and near-degenerate."""
 
@@ -615,10 +642,30 @@ class TestFlowProperties:
         ev = eigenvalues_dense(h.to_dense()).eigenvalues
         tol = 1e-8 * max(np.max(np.abs(ev)), 1e-300)
         d = res.final.diagonal()
+        dense = h.to_dense()
         for idx in coupling_components(h):  # each split_irreducible block is a union
-            assert np.all(np.diff(d[idx]) >= -tol)
+            if eigenvector_minor(dense[np.ix_(idx, idx)]) > MINOR_FLOOR:
+                assert np.all(np.diff(d[idx]) >= -tol)
         np.testing.assert_allclose(np.sort(d), ev, rtol=0.0, atol=tol)
         assert res.diagnostics.partial_trace_violation <= 1e-9
+
+    def test_unsorted_limit(self):
+        # Irreducible, but the lowest eigenvector (0, 1, 1, 2)/sqrt(6) has
+        # first component 0: the first leading minor vanishes, and the exact
+        # flow converges to an unsorted diagonal.
+        h = make_banded(4, 2, {(0, 0): 0, (1, 1): 2, (2, 2): 2, (3, 3): 0, (0, 1): -1,
+                               (1, 2): -1, (2, 3): -1, (0, 2): 1, (1, 3): -1})
+        assert len(coupling_components(h)) == 1
+        assert eigenvector_minor(h.to_dense()) < 1e-15
+        res = integrate_flow(h)
+        assert res.converged
+        d = res.final.diagonal()
+        ev = eigenvalues_dense(h.to_dense()).eigenvalues
+        np.testing.assert_allclose(np.sort(d), ev, rtol=0.0, atol=1e-9)
+        r17 = math.sqrt(17.0)
+        np.testing.assert_allclose(d, [(3 - r17) / 2, -1.0, (3 + r17) / 2, 2.0],
+                                   rtol=0.0, atol=1e-9)
+        assert not np.all(np.diff(d) >= 0.0)
 
     @settings(max_examples=20, deadline=None)
     @given(h=structured_banded(8, 4))
@@ -630,6 +677,123 @@ class TestFlowProperties:
             ev = eigenvalues_dense(h.to_dense()).eigenvalues
             tol = 1e-8 * max(np.max(np.abs(ev)), 1e-300)
             np.testing.assert_allclose(np.sort(res.final.diagonal()), ev, rtol=0.0, atol=tol)
+
+
+def stepped_band(h, ells, rel_tol):
+    """Row arrays of h's sign flow at ells by DOP853 on the stencil alone:
+    one undeflated system, no jump, no closed form."""
+    n, m = h.dim, h.bandwidth
+
+    def rhs(_ell, y):
+        out = np.zeros_like(y)
+        flow._banded_rhs_inplace(y, out, n, m)
+        return out
+
+    stepper = Dop853(rhs, 0.0, h.rows().ravel(), rel_tol=rel_tol, abs_tol=1e-300)
+    states = []
+    for ell in ells:
+        while stepper.t < ell:
+            stepper.step(ell)
+        states.append(stepper.y.reshape(m + 1, n).copy())
+    return states
+
+
+def gershgorin_spread(h):
+    d = h.diagonal()
+    radii = np.abs(h.to_dense() - np.diag(d)).sum(axis=1)
+    return float(np.max(d + radii) - np.min(d - radii))
+
+
+class TestQRJumps:
+    """Sign-flow blocks of 3 to flow._JUMP_MAX rows advance by exact QR jumps."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(h=structured_banded(flow._JUMP_MAX, 4, n_min=3))
+    def test_snapshots_match_stepper(self, h):
+        # ells in units of 1/s, s the Gershgorin spread: one jump spans
+        # ln(rel_tol / u) = 13.7 of them, so 8 -> 64 takes five.  A
+        # convergence tolerance of 1e-30 keeps deflation out of the way.
+        # The reference is DOP853 at rel_tol 1e-13.  A fixed bound does not
+        # fit: near-degenerate inputs whose flow passes close to an unsorted
+        # pair amplify every error, and the jump error reached 2.8e-9 max|h|
+        # on one.  So the jumps are held to the error of the stepper they
+        # replace (steps mode at the default rel_tol 1e-10) times 4, plus
+        # 1e-12 max|h|.  On 600 random draws of this strategy's recipe
+        # (1,797 snapshots) the jump error was at most 0.05 times that.
+        s = gershgorin_spread(h)
+        if s == 0.0:
+            return
+        ells = (2.0 / s, 8.0 / s, 64.0 / s)
+        cfg = dict(convergence_tol=1e-30, ell_max=ells[-1], snapshot_ells=ells[:-1])
+        jumped = integrate_flow(h, FlowConfig(**cfg))
+        stepped = integrate_flow(h, FlowConfig(record_steps=True, **cfg))
+        assert jumped.stats.n_tasks == 0 and stepped.stats.n_jumps == 0
+        reference = stepped_band(h, ells, 1e-13)
+        floor = 1e-12 * float(np.max(np.abs(h.rows())))
+        for j, st_, ref in zip(
+            [m.rows() for _e, m in jumped.snapshots] + [jumped.final.rows()],
+            [m.rows() for _e, m in stepped.snapshots] + [stepped.final.rows()],
+            reference,
+        ):
+            # what the exact flow keeps zero stays exactly zero
+            assert np.all(j[ref == 0.0] == 0.0)
+            assert np.max(np.abs(j - ref)) <= 4.0 * np.max(np.abs(st_ - ref)) + floor
+
+    def test_interleaved_components_keep_their_shape(self):
+        # {1, 2, 3} is a tridiagonal chain and {0, 4} a pair reaching across
+        # it.  The exact flow keeps each component's own staircase shape, so
+        # h_13 stays zero although h_04 spans it: a jump must drop the
+        # roundoff Householder leaves there, or it grows with the flow.
+        h = make_banded(5, 4, {(0, 0): 2.0, (1, 1): 1.5, (2, 2): 0.5, (3, 3): -0.5,
+                               (4, 4): -1.0, (1, 2): 0.4, (2, 3): 0.3, (0, 4): 0.2})
+        ells = (0.5, 2.0, 8.0)
+        res = integrate_flow(h, FlowConfig(convergence_tol=1e-30, ell_max=20.0,
+                                           snapshot_ells=ells))
+        assert res.stats.n_jumps >= 1
+        ref = stepped_band(h, ells, 1e-13)
+        for (_e, m), want in zip(res.snapshots, ref):
+            assert m.get(1, 3) == 0.0 and want[2, 1] == 0.0
+            np.testing.assert_allclose(m.rows(), want, rtol=0.0, atol=1e-12)
+        assert res.final.get(1, 3) == 0.0
+
+    def test_deflation_inside_a_jump(self):
+        # The unsorted pair (1, 2) swaps within the first jumps, which makes
+        # (0, 1) an unsorted near-degenerate pair (gap 2.4e-3) whose 5e-12
+        # coupling the flow then grows.  The cut at 2 is allowed well inside
+        # a jump (13.7 / s ~ 1100 long here); placed at the landing, it
+        # leaves (0, 1) coupled above the threshold, and the pair needs
+        # ~1e4 more to swap.  Bisected back, the cut comes early enough for
+        # the pair to count as converged, as the stepper found it (the
+        # stepped flow reported converged at ell 1274).
+        h = make_banded(3, 1, {(0, 0): -0.18618, (1, 1): -0.17698, (2, 2): -0.18857,
+                               (0, 1): -5.01917e-12, (1, 2): -5.93522e-4})
+        res = integrate_flow(h, FlowConfig(ell_max=3000.0))
+        assert res.converged and res.ell_final < 1500.0
+        assert res.stats.n_deflations == 1 and res.stats.n_tasks == 0
+        ev = eigenvalues_dense(h.to_dense()).eigenvalues
+        np.testing.assert_allclose(np.sort(res.final.diagonal()), ev, rtol=0.0, atol=1e-12)
+
+    def test_jump_spans(self):
+        # a 3x3 flow to ell_max lands exactly there; each jump covers
+        # ln(rel_tol / u) / s, so ell_max = 3.5 jump spans takes 4 jumps
+        h = tridiag123()
+        s = gershgorin_spread(h)
+        span = math.log(1e-10 / 2.0**-53) / s
+        res = integrate_flow(h, FlowConfig(convergence_tol=1e-30, ell_max=3.5 * span))
+        assert res.ell_final == 3.5 * span and not res.converged
+        assert res.stats == FlowStats(n_jumps=4)
+
+    def test_snapshot_at_jump_start(self):
+        # a snapshot at the block's start ell is the input; later ones are
+        # landed on exactly, and the final state is converged
+        h = tridiag123()
+        res = integrate_flow(h, FlowConfig(snapshot_ells=(0.0, 0.1, 1.0, 50.0)))
+        assert res.converged
+        assert np.array_equal(res.snapshots[0][1].rows(), h.rows())
+        ref = stepped_band(h, (0.1, 1.0), 1e-13)
+        for (_e, m), want in zip(res.snapshots[1:3], ref):
+            np.testing.assert_allclose(m.rows(), want, rtol=0.0, atol=1e-12)
+        assert np.array_equal(res.snapshots[3][1].rows(), res.final.rows())
 
 
 class TestDecayRate:

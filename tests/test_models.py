@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -165,6 +166,13 @@ class TestTruncation:
         ev2 = eigenvalues_tridiag(h2.band(0), h2.band(1)).eigenvalues
         quarter = n0 // 4
         assert np.max(np.abs(ev1[:quarter] - ev2[:quarter])) < 1e-8 * p1.omega
+
+    @pytest.mark.parametrize("lam,omega", [
+        (1.0, 0.0), (0.0, 0.0), (1.0, 1e-320), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+    ])
+    def test_default_truncation_rejects_unrepresentable(self, lam, omega):
+        with pytest.raises(ValueError, match="no finite truncation"):
+            default_n_trunc(5, lam, omega)
 
     def test_certify_returns_stable_dimension(self):
         base = SpinBosonParams(delta=1.0, lam=2.0, omega=1.0, branch=-1, n_trunc=8)
