@@ -33,8 +33,9 @@ splits off 2x2 blocks more than any other size, and the sign flow of a
 2x2 block (the Toda flow of a pair) has an exact solution, so such blocks
 are evaluated in closed form and build no stepper.  The sign flow of any
 block is the symmetric QR flow, so blocks of 3 to _JUMP_MAX rows advance
-by exact QR jumps instead of steps; only larger blocks, Wegner flows and
-steps mode build a stepper.
+by exact QR jumps instead of steps, and a larger block jumps or steps by
+which its own state predicts to cost less (see _jumps_pay), deciding anew
+as it flows.  Wegner flows and steps mode always step.
 
 Every flow runs on H / 2^k, with 2^k the binary exponent of max|h_nm|, so
 that squared entries and norms neither overflow nor underflow at any
@@ -78,7 +79,9 @@ __all__ = [
 _WEGNER_CAP = 256
 _DECAY_FIT_FLOOR = 1e-12  # times ||H||_F; below this, roundoff dominates log fits
 _DEFLATE_EVERY = 4  # accepted steps between boundary scans
-_JUMP_MAX = 32  # largest sign-flow block advanced by exact QR jumps
+_JUMP_MAX = 32  # largest sign-flow block that always advances by exact QR jumps
+_STEP_RATE = 0.4  # DOP853's step times the block's rate r (see _jumps_pay)
+_JUMP_ROWS = 48  # block size whose jump costs about one step at M = 3
 _JUMP_BISECTIONS = 2  # halvings that place a deflation inside a jump
 _UNIT_ROUNDOFF = 2.0**-53
 # 1/k! for k = 0..15, the Taylor polynomial of the jump's exponential, as
@@ -113,7 +116,10 @@ class FlowConfig:
 
     ell_max=None derives a generous cap from the matrix dimension and its
     Gershgorin spread; the flow stops at convergence long before reaching it
-    unless the final spectrum has pathologically close gaps.  The flow
+    unless the final spectrum has pathologically close gaps.  That cap only
+    bounds work, so a 2x2 block of the sign flow, solved in closed form at
+    O(1) cost, runs past it to its analytic convergence ell; an ell_max the
+    caller sets caps every block.  The flow
     parameter carries units of inverse energy for the sign generator (the
     Wegner generator scales as inverse energy squared), so ell_max should be
     scaled accordingly when overridden.  abs_tol is in units of 2^k, the
@@ -179,17 +185,20 @@ class TraceRow:
 class FlowStats:
     """Work done by one flow.  Counts only, so equal inputs give equal stats.
 
-    n_tasks counts block integrations that built a stepper; n_exact counts
-    2x2 blocks of the sign flow solved in closed form, and n_jumps the
-    exact QR jumps that advance sign-flow blocks of 3 to 32 rows, neither
-    of which builds a stepper (blocks that arrive converged cost nothing
-    and count nowhere).  n_deflations counts block boundaries zeroed.
-    Every attempted step costs 12 RHS evaluations, every stepper one more,
-    and every automatic initial-step estimate one more; only an irreducible
-    block of the input that builds a stepper estimates its first step,
-    blocks split off later inherit it, so an irreducible sign-flow input of
-    at most 32 rows costs no RHS evaluation.  A jump halved and retried
-    counts once.
+    n_tasks counts steppers built: one per stepped block, and one more
+    each time a sign-flow block of more than 32 rows hands back from jumps
+    to steps.  n_exact counts 2x2 blocks of the sign flow solved in closed
+    form, and n_jumps the exact QR jumps that advance sign-flow blocks of 3
+    or more rows, neither of which builds a stepper (blocks that arrive
+    converged cost nothing and count nowhere).  n_deflations counts block
+    boundaries zeroed.  Every attempted step costs 12 RHS evaluations,
+    every stepper one more, and every automatic initial-step estimate one
+    more.  A stepper estimates its first step only if no stepper ran
+    before it in its block's history: blocks split off or handed between
+    steps and jumps inherit the last step size.  So an irreducible input
+    that steps from the start estimates once, and one that never steps
+    (any irreducible sign-flow input of at most 32 rows) costs no RHS
+    evaluation.  A jump halved and retried counts once.
     """
 
     n_rhs: int = 0
@@ -329,6 +338,42 @@ def _gershgorin_radii(rows: np.ndarray) -> np.ndarray:
     return radii
 
 
+def _jumps_pay(rows: np.ndarray, span: float) -> bool:
+    """Whether exact QR jumps beat DOP853 steps for the sign-flow block rows.
+
+    Blocks of at most _JUMP_MAX rows always jump.  A larger block weighs
+    the steps the stepper would take over one jump span, span / s for its
+    Gershgorin spread s, against the cost of a jump in steps.  The step h
+    keeps h r near _STEP_RATE at rel_tol 1e-10 (0.25 to 0.6 measured), r the
+    largest |h_nn - h_mm| + 4 |h_nm| over nonzero couplings: the rates at
+    which a coupling decays and a pair turns.  A jump does O(N^3) dense work
+    and a step O(N M^2) stencil work behind a fixed call overhead; measured
+    on 2 vCPUs, a jump took 0.5 ms at 48 rows and 0.7 ms at 64, a step
+    0.8 ms at M = 3 and 0.2 ms at M = 1, hence (N / 48)^3 * 4 / (M + 1)
+    steps.  Since r <= 2 s, at most 2 span / _STEP_RATE steps fit in a
+    span, so a block too large for that to pay (about 160 to 200 rows)
+    steps without reading its entries.
+    """
+    mb, nb = rows.shape[0] - 1, rows.shape[1]
+    if nb <= _JUMP_MAX:
+        return True
+    cost = (nb / _JUMP_ROWS) ** 3 * 4.0 / (mb + 1)
+    if cost > 2.0 * span / _STEP_RATE:
+        return False
+    d = rows[0]
+    a = np.abs(rows[1:])
+    radii = a.sum(axis=0)  # the row sums; the column sums are added below
+    rate = 0.0
+    for k in range(1, mb + 1):
+        b = a[k - 1, : nb - k]
+        radii[k:] += b
+        r = np.abs(d[: nb - k] - d[k:])
+        r += 4.0 * b
+        rate = max(rate, float(r.max(initial=0.0, where=b != 0.0)))
+    spread = float((d + radii).max() - (d - radii).min())
+    return span / spread * rate / _STEP_RATE >= cost
+
+
 def _has_unsorted_pair(rows: np.ndarray) -> bool:
     """Whether some n < m with h_nm != 0 has h_nn > h_mm."""
     d, n = rows[0], rows.shape[1]
@@ -439,7 +484,7 @@ class _Task:
     start: int
     rows: np.ndarray  # private (M_b+1) x N_b row array of this block
     ell: float
-    h0: float | None = None  # step size inherited across a split
+    h0: float | None = None  # step size inherited across a split or hand-off
 
 
 class _BandedFlow:
@@ -447,11 +492,17 @@ class _BandedFlow:
 
     The sign generator flows with dynamic block deflation; its 2x2 blocks
     flow in closed form, its blocks of 3 to _JUMP_MAX rows by exact QR
-    jumps, and only larger ones are stepped.  Wegner's generator, whose
-    input arrives widened to M = N - 1, and steps mode integrate the whole
-    matrix as one undeflated system.  Each block's state is its row array
-    flattened; the assembled final and snapshot matrices are (M+1) x N row
-    arrays into which every block writes its column slice.
+    jumps, and larger ones by jumps or steps as :func:`_jumps_pay` chooses
+    from the block's state: when the block starts, at every deflation scan
+    while it steps and at every landing while it jumps.  A block switches
+    by being queued again at its current ell, as a split queues its
+    pieces, with the last step size of its stepper if it had one.  Under
+    the automatic ell_max a 2x2 block runs to its convergence ell even past
+    the cap.  Wegner's generator, whose input arrives widened to
+    M = N - 1, and steps mode integrate the whole matrix as one undeflated
+    system.  Each block's state is its row array flattened; the assembled
+    final and snapshot matrices are (M+1) x N row arrays into which every
+    block writes its column slice.
 
     A jump spans dl = ln(rel_tol / u) / s for the block's Gershgorin spread
     s (u the unit roundoff), so cond(e^{-dl H}) <= rel_tol / u and the jump
@@ -657,8 +708,11 @@ class _BandedFlow:
         if nb == 2 and not self.single:
             # A pair flows in closed form (the Toda flow), with no stepper.
             state, end = _pair_flow(task.rows, task.ell, self.conv_off_sq)
+            # The automatic ell_max bounds work, and a pair costs O(1): run
+            # it to its crossing unless the caller capped ell.
+            cap = math.inf if cfg.ell_max is None and math.isfinite(end) else self.ell_max
             nudge = math.ulp(end)
-            while end < self.ell_max:  # step past rounding at the crossing
+            while end < cap:  # step past rounding at the crossing
                 y = state(end)
                 if _off_sq(y, 2) <= self.conv_off_sq:
                     break
@@ -682,7 +736,8 @@ class _BandedFlow:
             finish(end, y, _off_sq(y, 2) <= self.conv_off_sq)
             return
 
-        if nb <= _JUMP_MAX and not self.single:
+        span = math.log(max(cfg.rel_tol / _UNIT_ROUNDOFF, math.e))
+        if not self.single and _jumps_pay(task.rows, span):
             # Exact QR jumps of the Toda flow, with no stepper.
             k, i = np.divmod(np.arange(y0.size), nb)
             slots = np.flatnonzero(i + k < nb)  # slot k*nb + i holds h_{i,i+k}
@@ -696,7 +751,6 @@ class _BandedFlow:
             dropped = ~_flow_pattern(dense(y0))
             kept = ~dropped[ii, jj]  # from here on, only slots the flow can fill
             slots, ii, jj = slots[kept], ii[kept], jj[kept]
-            span = math.log(max(cfg.rel_tol / _UNIT_ROUNDOFF, math.e))
 
             def jump(y: np.ndarray, ell: float, t_cap: float) -> tuple[float, np.ndarray]:
                 """Land one jump from state y at ell, at t_cap or short of it."""
@@ -740,11 +794,16 @@ class _BandedFlow:
                     return
                 if cuts:
                     close_stats()
-                    self._split(tasks, task.start, y.reshape(mb + 1, nb), cuts, ell, None)
+                    self._split(tasks, task.start, y.reshape(mb + 1, nb), cuts, ell, task.h0)
                     return
                 if ell >= self.ell_max:
                     close_stats()
                     finish(ell, y, False)
+                    return
+                if ell > task.ell and not _jumps_pay(y.reshape(mb + 1, nb), span):
+                    # steps pay now: hand the block to a stepper at this ell
+                    close_stats()
+                    self._push_blocks(tasks, y.reshape(mb + 1, nb), task.start, [], ell, task.h0)
                     return
                 t_cap = min([s for s in pending if s > ell] + [self.ell_max])
                 landing = jump(y, ell, t_cap)
@@ -830,6 +889,11 @@ class _BandedFlow:
             if cuts:
                 close_stats(stepper.n_accepted, stepper.n_rejected)
                 self._split(tasks, task.start, e, cuts, stepper.t, stepper.h)
+                return
+            if not self.single and _jumps_pay(e, span):
+                # jumps pay now: hand the block to the jump loop at this ell
+                close_stats(stepper.n_accepted, stepper.n_rejected)
+                self._push_blocks(tasks, e, task.start, [], stepper.t, stepper.h)
                 return
 
 

@@ -20,8 +20,9 @@ from bandflow.flow import (
     wegner_eta,
     wegner_rhs,
 )
+from bandflow.models import SpinBosonParams, build_spinboson
 from bandflow.ode import Dop853, StepSizeUnderflow
-from bandflow.oracle import eigenvalues_dense
+from bandflow.oracle import eigenvalues_dense, eigenvalues_tridiag
 
 SQRT3 = 1.7320508075688772
 
@@ -35,6 +36,10 @@ def random_banded(seed, n, m, scale=1.0):
 
 def tridiag123():
     return make_banded(3, 1, {(0, 0): 1, (1, 1): 2, (2, 2): 3, (0, 1): 1, (1, 2): 1})
+
+
+def spinboson_chain(n, delta=1.0):
+    return build_spinboson(SpinBosonParams(delta=delta, lam=4.0, omega=1.0, n_trunc=n))
 
 
 class TestTableau:
@@ -400,8 +405,9 @@ class TestScaleAndStats:
     def test_rhs_count_identity(self, gen):
         # an irreducible input estimates its initial step once; every other
         # evaluation belongs to a stepper's construction or to a step.  A
-        # sign flow steps only blocks of more than flow._JUMP_MAX rows.
-        h = random_banded(5, 48, 2) if gen is GeneratorKind.MIELKE else tridiag123()
+        # sign flow steps only blocks of more than flow._JUMP_MAX rows whose
+        # state makes steps cheaper than jumps, as in a long spin-boson chain.
+        h = spinboson_chain(200) if gen is GeneratorKind.MIELKE else tridiag123()
         stats = integrate_flow(h, FlowConfig(generator=gen)).stats
         assert stats.n_tasks >= 1 and stats.n_accepted > 0
         attempts = stats.n_accepted + stats.n_rejected
@@ -419,6 +425,26 @@ class TestScaleAndStats:
         assert res.converged
         assert res.stats.n_rhs == res.stats.n_tasks == res.stats.n_accepted == 0
         assert res.stats.n_jumps >= 1
+
+    def test_large_random_block_jumps_without_stepper(self):
+        # a random N = 60, M = 3 block (the ensemble's case) turns its pairs
+        # fast against its spread, so jumps pay from the start to the end
+        res = integrate_flow(random_banded(0, 60, 3))
+        assert res.converged
+        assert res.stats.n_rhs == res.stats.n_tasks == res.stats.n_accepted == 0
+        assert res.stats.n_jumps >= 1
+
+    def test_long_chain_steps(self):
+        # a 200-level spin-boson chain (delta 1, lambda 4, omega 1) is too
+        # long for a jump to pay at bandwidth 1, and none of its deflated
+        # blocks above 32 rows turns its pairs fast enough against its
+        # spread for jumps to pay: they step
+        h = spinboson_chain(200)
+        res = integrate_flow(h)
+        assert res.converged and res.stats.n_tasks >= 1
+        ev = eigenvalues_tridiag(h.band(0), h.band(1)).eigenvalues
+        np.testing.assert_allclose(res.final.diagonal(), ev, rtol=0.0,
+                                   atol=1e-10 * np.max(np.abs(ev)))
 
     def test_stats_repeat_exactly(self):
         h = random_banded(6, 40, 3)
@@ -558,6 +584,24 @@ class TestClosedFormPair:
         np.testing.assert_allclose(res.snapshots[0][1].rows(), exact_pair(h, 0.5),
                                    rtol=1e-12, atol=0.0)
         assert np.array_equal(res.snapshots[1][1].rows(), res.final.rows())
+
+    @pytest.mark.parametrize("seed", [94, 703])
+    def test_close_pair_runs_past_automatic_cap(self, seed):
+        # A zero-diagonal tridiagonal whose middle eigenvalues lie 7.0e-6
+        # (seed 94) or 3.8e-7 (seed 703) apart: their 2x2 block converges
+        # at ell 1.7e6 or 2.4e7, past the automatic ell_max (about 5e5 and
+        # 6e5).  That cap bounds work, and a pair costs O(1), so the pair
+        # runs to its crossing; an ell_max the caller sets still stops it.
+        off = np.random.default_rng(seed).uniform(-1, 1, 15)
+        h = BandedSymmetricMatrix(16, 1, [np.zeros(16), off])
+        rows = h.rows()
+        cap = flow._auto_ell_max(rows[0], flow._gershgorin_radii(rows), 1)
+        res = integrate_flow(h)
+        assert res.converged and res.ell_final > cap
+        ev = eigenvalues_dense(h.to_dense()).eigenvalues
+        np.testing.assert_allclose(res.final.diagonal(), ev, rtol=0.0, atol=1e-11)
+        capped = integrate_flow(h, FlowConfig(ell_max=cap))
+        assert not capped.converged and capped.ell_final == cap
 
     def test_tiny_coupling_converged_on_arrival(self):
         # 1e-170 ** 2 underflows: the pair is irreducible but arrives
@@ -704,40 +748,73 @@ def gershgorin_spread(h):
     return float(np.max(d + radii) - np.min(d - radii))
 
 
+SPAN = math.log(1e-10 / 2.0**-53)  # one jump at the default rel_tol, times s
+
+
+def assert_jumps_match_stepper(h):
+    """Snapshots of h's sign flow at 2/s and 8/s and the final at 64/s, s the
+    Gershgorin spread, against DOP853 at rel_tol 1e-13 on the stencil.
+
+    One jump spans ln(rel_tol / u) = 13.7 of these units, so 8 -> 64 takes
+    five.  A convergence tolerance of 1e-30 keeps deflation out of the way.
+    A fixed bound does not fit: near-degenerate inputs whose flow passes
+    close to an unsorted pair amplify every error, and the jump error
+    reached 2.8e-9 max|h| on one.  So the flow is held to the error of the
+    stepper it replaces (steps mode at the default rel_tol 1e-10) times 4,
+    plus 1e-12 max|h|.  On 600 random draws of blocks of 3 to 32 rows
+    (1,797 snapshots) the jump error was at most 0.05 times that.  Returns
+    the flow's stats.
+    """
+    s = gershgorin_spread(h)
+    if s == 0.0:
+        return FlowStats()
+    ells = (2.0 / s, 8.0 / s, 64.0 / s)
+    cfg = dict(convergence_tol=1e-30, ell_max=ells[-1], snapshot_ells=ells[:-1])
+    jumped = integrate_flow(h, FlowConfig(**cfg))
+    stepped = integrate_flow(h, FlowConfig(record_steps=True, **cfg))
+    assert stepped.stats.n_jumps == 0
+    reference = stepped_band(h, ells, 1e-13)
+    floor = 1e-12 * float(np.max(np.abs(h.rows())))
+    for j, st_, ref in zip(
+        [m.rows() for _e, m in jumped.snapshots] + [jumped.final.rows()],
+        [m.rows() for _e, m in stepped.snapshots] + [stepped.final.rows()],
+        reference,
+    ):
+        # what the exact flow keeps zero stays exactly zero
+        assert np.all(j[ref == 0.0] == 0.0)
+        assert np.max(np.abs(j - ref)) <= 4.0 * np.max(np.abs(st_ - ref)) + floor
+    return jumped.stats
+
+
 class TestQRJumps:
-    """Sign-flow blocks of 3 to flow._JUMP_MAX rows advance by exact QR jumps."""
+    """Sign-flow blocks of 3 to flow._JUMP_MAX rows advance by exact QR jumps;
+    larger ones jump or step as their own state makes cheaper."""
 
     @settings(max_examples=25, deadline=None)
     @given(h=structured_banded(flow._JUMP_MAX, 4, n_min=3))
     def test_snapshots_match_stepper(self, h):
-        # ells in units of 1/s, s the Gershgorin spread: one jump spans
-        # ln(rel_tol / u) = 13.7 of them, so 8 -> 64 takes five.  A
-        # convergence tolerance of 1e-30 keeps deflation out of the way.
-        # The reference is DOP853 at rel_tol 1e-13.  A fixed bound does not
-        # fit: near-degenerate inputs whose flow passes close to an unsorted
-        # pair amplify every error, and the jump error reached 2.8e-9 max|h|
-        # on one.  So the jumps are held to the error of the stepper they
-        # replace (steps mode at the default rel_tol 1e-10) times 4, plus
-        # 1e-12 max|h|.  On 600 random draws of this strategy's recipe
-        # (1,797 snapshots) the jump error was at most 0.05 times that.
-        s = gershgorin_spread(h)
-        if s == 0.0:
-            return
-        ells = (2.0 / s, 8.0 / s, 64.0 / s)
-        cfg = dict(convergence_tol=1e-30, ell_max=ells[-1], snapshot_ells=ells[:-1])
-        jumped = integrate_flow(h, FlowConfig(**cfg))
-        stepped = integrate_flow(h, FlowConfig(record_steps=True, **cfg))
-        assert jumped.stats.n_tasks == 0 and stepped.stats.n_jumps == 0
-        reference = stepped_band(h, ells, 1e-13)
-        floor = 1e-12 * float(np.max(np.abs(h.rows())))
-        for j, st_, ref in zip(
-            [m.rows() for _e, m in jumped.snapshots] + [jumped.final.rows()],
-            [m.rows() for _e, m in stepped.snapshots] + [stepped.final.rows()],
-            reference,
-        ):
-            # what the exact flow keeps zero stays exactly zero
-            assert np.all(j[ref == 0.0] == 0.0)
-            assert np.max(np.abs(j - ref)) <= 4.0 * np.max(np.abs(st_ - ref)) + floor
+        assert assert_jumps_match_stepper(h).n_tasks == 0
+
+    @settings(max_examples=6, deadline=None)
+    @given(h=structured_banded(96, 4, n_min=flow._JUMP_MAX + 1))
+    def test_large_block_snapshots_match_stepper(self, h):
+        assert_jumps_match_stepper(h)
+
+    def test_chain_hands_jumps_to_steps(self):
+        # nothing deflates, so one block flows throughout: it jumps while
+        # its large couplings turn, then steps once they have decayed
+        h = spinboson_chain(96)
+        assert flow._jumps_pay(h.rows(), SPAN)
+        stats = assert_jumps_match_stepper(h)
+        assert stats.n_deflations == 0 and stats.n_jumps >= 1 and stats.n_tasks == 1
+
+    def test_random_hands_steps_to_jumps(self):
+        # a random tridiagonal of 128 rows sits near the crossover: its one
+        # block starts with steps and hands over to jumps
+        h = random_banded(0, 128, 1)
+        assert not flow._jumps_pay(h.rows(), SPAN)
+        stats = assert_jumps_match_stepper(h)
+        assert stats.n_deflations == 0 and stats.n_jumps >= 1 and stats.n_tasks == 1
 
     def test_interleaved_components_keep_their_shape(self):
         # {1, 2, 3} is a tridiagonal chain and {0, 4} a pair reaching across
@@ -778,7 +855,7 @@ class TestQRJumps:
         # ln(rel_tol / u) / s, so ell_max = 3.5 jump spans takes 4 jumps
         h = tridiag123()
         s = gershgorin_spread(h)
-        span = math.log(1e-10 / 2.0**-53) / s
+        span = SPAN / s
         res = integrate_flow(h, FlowConfig(convergence_tol=1e-30, ell_max=3.5 * span))
         assert res.ell_final == 3.5 * span and not res.converged
         assert res.stats == FlowStats(n_jumps=4)
