@@ -32,10 +32,12 @@ quarter of the steps and half the RHS evaluations per flow.  Deflation
 splits off 2x2 blocks more than any other size, and the sign flow of a
 2x2 block (the Toda flow of a pair) has an exact solution, so such blocks
 are evaluated in closed form and build no stepper.  The sign flow of any
-block is the symmetric QR flow, so blocks of 3 to _JUMP_MAX rows advance
-by exact QR jumps instead of steps, and a larger block jumps or steps by
-which its own state predicts to cost less (see _jumps_pay), deciding anew
-as it flows.  Wegner flows and steps mode always step.
+block is the symmetric QR flow, so a larger block can advance by exact QR
+jumps instead of steps.  It jumps or steps by which its own state, and
+the step its stepper last ran at, predict to cost less (see _jumps_pay),
+deciding anew as it flows.  At the default rel_tol a block of 3 to 32
+rows whose couplings connect it always jumps.  Wegner flows and steps
+mode always step.
 
 Every flow runs on H / 2^k, with 2^k the binary exponent of max|h_nm|, so
 that squared entries and norms neither overflow nor underflow at any
@@ -79,8 +81,7 @@ __all__ = [
 _WEGNER_CAP = 256
 _DECAY_FIT_FLOOR = 1e-12  # times ||H||_F; below this, roundoff dominates log fits
 _DEFLATE_EVERY = 4  # accepted steps between boundary scans
-_JUMP_MAX = 32  # largest sign-flow block that always advances by exact QR jumps
-_STEP_RATE = 0.4  # DOP853's step times the block's rate r (see _jumps_pay)
+_STEP_RATE = 0.4  # guess at DOP853's step times the block's rate r (see _Task)
 _JUMP_ROWS = 48  # block size whose jump costs about one step at M = 3
 _JUMP_BISECTIONS = 2  # halvings that place a deflation inside a jump
 _UNIT_ROUNDOFF = 2.0**-53
@@ -186,10 +187,10 @@ class FlowStats:
     """Work done by one flow.  Counts only, so equal inputs give equal stats.
 
     n_tasks counts steppers built: one per stepped block, and one more
-    each time a sign-flow block of more than 32 rows hands back from jumps
-    to steps.  n_exact counts 2x2 blocks of the sign flow solved in closed
-    form, and n_jumps the exact QR jumps that advance sign-flow blocks of 3
-    or more rows, neither of which builds a stepper (blocks that arrive
+    each time a sign-flow block hands back from jumps to steps.  n_exact
+    counts 2x2 blocks of the sign flow solved in closed form, and n_jumps
+    the exact QR jumps that advance sign-flow blocks of 3 or more rows,
+    neither of which builds a stepper (blocks that arrive
     converged cost nothing and count nowhere).  n_deflations counts block
     boundaries zeroed.  Every attempted step costs 12 RHS evaluations,
     every stepper one more, and every automatic initial-step estimate one
@@ -197,8 +198,9 @@ class FlowStats:
     before it in its block's history: blocks split off or handed between
     steps and jumps inherit the last step size.  So an irreducible input
     that steps from the start estimates once, and one that never steps
-    (any irreducible sign-flow input of at most 32 rows) costs no RHS
-    evaluation.  A jump halved and retried counts once.
+    (at the default rel_tol, any sign-flow input of at most 32 rows whose
+    couplings connect it) costs no RHS evaluation.  A jump halved and
+    retried counts once.
     """
 
     n_rhs: int = 0
@@ -338,40 +340,41 @@ def _gershgorin_radii(rows: np.ndarray) -> np.ndarray:
     return radii
 
 
-def _jumps_pay(rows: np.ndarray, span: float) -> bool:
-    """Whether exact QR jumps beat DOP853 steps for the sign-flow block rows.
-
-    Blocks of at most _JUMP_MAX rows always jump.  A larger block weighs
-    the steps the stepper would take over one jump span, span / s for its
-    Gershgorin spread s, against the cost of a jump in steps.  The step h
-    keeps h r near _STEP_RATE at rel_tol 1e-10 (0.25 to 0.6 measured), r the
-    largest |h_nn - h_mm| + 4 |h_nm| over nonzero couplings: the rates at
-    which a coupling decays and a pair turns.  A jump does O(N^3) dense work
-    and a step O(N M^2) stencil work behind a fixed call overhead; measured
-    on 2 vCPUs, a jump took 0.5 ms at 48 rows and 0.7 ms at 64, a step
-    0.8 ms at M = 3 and 0.2 ms at M = 1, hence (N / 48)^3 * 4 / (M + 1)
-    steps.  Since r <= 2 s, at most 2 span / _STEP_RATE steps fit in a
-    span, so a block too large for that to pay (about 160 to 200 rows)
-    steps without reading its entries.
-    """
-    mb, nb = rows.shape[0] - 1, rows.shape[1]
-    if nb <= _JUMP_MAX:
-        return True
-    cost = (nb / _JUMP_ROWS) ** 3 * 4.0 / (mb + 1)
-    if cost > 2.0 * span / _STEP_RATE:
-        return False
-    d = rows[0]
-    a = np.abs(rows[1:])
-    radii = a.sum(axis=0)  # the row sums; the column sums are added below
+def _coupling_rate(rows: np.ndarray) -> float:
+    """Largest |h_nn - h_mm| + 4 |h_nm| over the nonzero couplings of the
+    block rows: the rates at which a coupling decays and a pair turns."""
+    d, nb = rows[0], rows.shape[1]
     rate = 0.0
-    for k in range(1, mb + 1):
-        b = a[k - 1, : nb - k]
-        radii[k:] += b
+    for k in range(1, rows.shape[0]):
+        b = np.abs(rows[k, : nb - k])
         r = np.abs(d[: nb - k] - d[k:])
         r += 4.0 * b
         rate = max(rate, float(r.max(initial=0.0, where=b != 0.0)))
-    spread = float((d + radii).max() - (d - radii).min())
-    return span / spread * rate / _STEP_RATE >= cost
+    return rate
+
+
+def _jumps_pay(rows: np.ndarray, span: float, step: float) -> bool:
+    """Whether exact QR jumps beat DOP853 steps for the sign-flow block rows.
+
+    Weighs the steps a stepper of step size step takes over one jump span,
+    span / (s step) for the block's Gershgorin spread s, against the cost
+    of a jump in steps.  A jump does O(N^3) dense work and a step
+    O(N M^2) stencil work behind a fixed call overhead; measured on
+    2 vCPUs, a jump took 0.5 ms at 48 rows and 0.7 ms at 64, a step 0.8 ms
+    at M = 3 and 0.2 ms at M = 1, hence (N / 48)^3 * 4 / (M + 1) steps.
+    Timed alone at N = 48 to 128 and M = 1 to 4, a jump cost 0.2 to 0.7
+    of that many steps, so the estimate leans toward steps.  A block too
+    large for a jump to pay at step _STEP_RATE / (2 s), the shortest that
+    the guess of :class:`_Task` predicts (r <= 2 s), steps whatever its
+    step: about 160 to 200 rows.
+    """
+    mb, nb = rows.shape[0] - 1, rows.shape[1]
+    cost = (nb / _JUMP_ROWS) ** 3 * 4.0 / (mb + 1)
+    if cost > 2.0 * span / _STEP_RATE:
+        return False
+    radii = _gershgorin_radii(rows)
+    spread = float((rows[0] + radii).max() - (rows[0] - radii).min())
+    return span / (spread * step) >= cost
 
 
 def _has_unsorted_pair(rows: np.ndarray) -> bool:
@@ -481,26 +484,44 @@ def _flow_pattern(h: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Task:
+    """A block of the flow queued at ell.
+
+    rate is the step h of the last stepper in the block's history times
+    the block's :func:`_coupling_rate` r when it stopped.  Until a stepper
+    has run it is _STEP_RATE, a guess: at rel_tol 1e-10, h r stayed at 0.34
+    to 0.41 on random blocks and 0.50 to 0.60 on spin-boson chains, so the
+    guess overcounts a chain's steps.  A block that is not stepping
+    predicts its step as rate / r.  If its couplings connect all N rows,
+    s <= (N - 1 + M) r for the Gershgorin spread s: a path of at most
+    N - 1 couplings joins the extreme diagonal entries, and every radius
+    is at most M r / 2.  So at the default rel_tol the guess makes every
+    such block of at most 32 rows jump.
+    """
+
     start: int
     rows: np.ndarray  # private (M_b+1) x N_b row array of this block
     ell: float
     h0: float | None = None  # step size inherited across a split or hand-off
+    rate: float = _STEP_RATE
+
+    def step_guess(self, rows: np.ndarray) -> float:
+        return self.rate / _coupling_rate(rows)
 
 
 class _BandedFlow:
     """Flow driver for both generators.
 
     The sign generator flows with dynamic block deflation; its 2x2 blocks
-    flow in closed form, its blocks of 3 to _JUMP_MAX rows by exact QR
-    jumps, and larger ones by jumps or steps as :func:`_jumps_pay` chooses
-    from the block's state: when the block starts, at every deflation scan
-    while it steps and at every landing while it jumps.  A block switches
-    by being queued again at its current ell, as a split queues its
-    pieces, with the last step size of its stepper if it had one.  Under
-    the automatic ell_max a 2x2 block runs to its convergence ell even past
-    the cap.  Wegner's generator, whose input arrives widened to
-    M = N - 1, and steps mode integrate the whole matrix as one undeflated
-    system.  Each block's state is its row array flattened; the assembled
+    flow in closed form, and larger ones by exact QR jumps or steps as
+    :func:`_jumps_pay` chooses from the block's state: when the block
+    starts, at every deflation scan while it steps (from the stepper's
+    step) and at every landing while it jumps (from the h r its last
+    stepper ran at, if it had one).  A block switches by being queued
+    again at its current ell, as a split queues its pieces, with the last
+    step size of its stepper and that h r.  Under the automatic ell_max a
+    2x2 block runs to its convergence ell even past the cap.  Wegner's
+    generator, whose input arrives widened to M = N - 1, and steps mode
+    integrate the whole matrix as one undeflated system.  Each block's state is its row array flattened; the assembled
     final and snapshot matrices are (M+1) x N row arrays into which every
     block writes its column slice.
 
@@ -569,14 +590,14 @@ class _BandedFlow:
 
     @staticmethod
     def _push_blocks(tasks: deque, rows: np.ndarray, start: int, cuts, ell: float,
-                     h: float | None) -> None:
+                     h: float | None, rate: float = _STEP_RATE) -> None:
         """Queue the blocks between cuts; nothing may couple across a cut."""
         edges = [0, *cuts, rows.shape[1]]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            tasks.append(_Task(start + lo, rows[: hi - lo, lo:hi].copy(), ell, h))
+            tasks.append(_Task(start + lo, rows[: hi - lo, lo:hi].copy(), ell, h, rate))
 
     def _split(self, tasks: deque, start: int, e: np.ndarray, cuts, ell: float,
-               h: float | None) -> None:
+               h: float | None, rate: float) -> None:
         """Deflate the block with rows e at cuts and queue its pieces."""
         # Zero every coupling that crosses a cut: slot (k, c) does when
         # c + k reaches the end of the sub-block holding c.
@@ -589,7 +610,7 @@ class _BandedFlow:
         )
         e[crossing] = 0.0
         self.n_deflations += len(cuts)
-        self._push_blocks(tasks, e, start, cuts, ell, h)
+        self._push_blocks(tasks, e, start, cuts, ell, h, rate)
 
     def _emit_step_row(self, ell: float, y: np.ndarray) -> None:
         # Steps mode runs one task, so its state is the full matrix.
@@ -737,7 +758,7 @@ class _BandedFlow:
             return
 
         span = math.log(max(cfg.rel_tol / _UNIT_ROUNDOFF, math.e))
-        if not self.single and _jumps_pay(task.rows, span):
+        if not self.single and _jumps_pay(task.rows, span, task.step_guess(task.rows)):
             # Exact QR jumps of the Toda flow, with no stepper.
             k, i = np.divmod(np.arange(y0.size), nb)
             slots = np.flatnonzero(i + k < nb)  # slot k*nb + i holds h_{i,i+k}
@@ -794,16 +815,18 @@ class _BandedFlow:
                     return
                 if cuts:
                     close_stats()
-                    self._split(tasks, task.start, y.reshape(mb + 1, nb), cuts, ell, task.h0)
+                    self._split(tasks, task.start, y.reshape(mb + 1, nb), cuts, ell,
+                                task.h0, task.rate)
                     return
                 if ell >= self.ell_max:
                     close_stats()
                     finish(ell, y, False)
                     return
-                if ell > task.ell and not _jumps_pay(y.reshape(mb + 1, nb), span):
+                e = y.reshape(mb + 1, nb)
+                if ell > task.ell and not _jumps_pay(e, span, task.step_guess(e)):
                     # steps pay now: hand the block to a stepper at this ell
                     close_stats()
-                    self._push_blocks(tasks, y.reshape(mb + 1, nb), task.start, [], ell, task.h0)
+                    self._push_blocks(tasks, e, task.start, [], ell, task.h0, task.rate)
                     return
                 t_cap = min([s for s in pending if s > ell] + [self.ell_max])
                 landing = jump(y, ell, t_cap)
@@ -886,14 +909,15 @@ class _BandedFlow:
                 continue
             since_scan = 0
             cuts = self._deflation_cuts(e)
-            if cuts:
+            if cuts or (not self.single and _jumps_pay(e, span, stepper.h)):
+                # split, or hand the block to the jump loop, at this ell,
+                # with the h r this stepper ran at
                 close_stats(stepper.n_accepted, stepper.n_rejected)
-                self._split(tasks, task.start, e, cuts, stepper.t, stepper.h)
-                return
-            if not self.single and _jumps_pay(e, span):
-                # jumps pay now: hand the block to the jump loop at this ell
-                close_stats(stepper.n_accepted, stepper.n_rejected)
-                self._push_blocks(tasks, e, task.start, [], stepper.t, stepper.h)
+                rate = stepper.h * _coupling_rate(e)
+                if cuts:
+                    self._split(tasks, task.start, e, cuts, stepper.t, stepper.h, rate)
+                else:
+                    self._push_blocks(tasks, e, task.start, [], stepper.t, stepper.h, rate)
                 return
 
 

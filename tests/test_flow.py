@@ -405,8 +405,8 @@ class TestScaleAndStats:
     def test_rhs_count_identity(self, gen):
         # an irreducible input estimates its initial step once; every other
         # evaluation belongs to a stepper's construction or to a step.  A
-        # sign flow steps only blocks of more than flow._JUMP_MAX rows whose
-        # state makes steps cheaper than jumps, as in a long spin-boson chain.
+        # sign flow steps only blocks whose state makes steps cheaper than
+        # jumps, as in a long spin-boson chain.
         h = spinboson_chain(200) if gen is GeneratorKind.MIELKE else tridiag123()
         stats = integrate_flow(h, FlowConfig(generator=gen)).stats
         assert stats.n_tasks >= 1 and stats.n_accepted > 0
@@ -751,6 +751,11 @@ def gershgorin_spread(h):
 SPAN = math.log(1e-10 / 2.0**-53)  # one jump at the default rel_tol, times s
 
 
+def jumps_pay_at_start(rows):
+    """The choice of a sign-flow block with rows that has not stepped yet."""
+    return flow._jumps_pay(rows, SPAN, flow._Task(0, rows, 0.0).step_guess(rows))
+
+
 def assert_jumps_match_stepper(h):
     """Snapshots of h's sign flow at 2/s and 8/s and the final at 64/s, s the
     Gershgorin spread, against DOP853 at rel_tol 1e-13 on the stencil.
@@ -787,24 +792,61 @@ def assert_jumps_match_stepper(h):
 
 
 class TestQRJumps:
-    """Sign-flow blocks of 3 to flow._JUMP_MAX rows advance by exact QR jumps;
-    larger ones jump or step as their own state makes cheaper."""
+    """Sign-flow blocks of 3 or more rows jump or step as their own state
+    makes cheaper; at the default rel_tol, blocks of 3 to 32 rows jump."""
 
     @settings(max_examples=25, deadline=None)
-    @given(h=structured_banded(flow._JUMP_MAX, 4, n_min=3))
+    @given(h=structured_banded(32, 4, n_min=3))
     def test_snapshots_match_stepper(self, h):
         assert assert_jumps_match_stepper(h).n_tasks == 0
 
     @settings(max_examples=6, deadline=None)
-    @given(h=structured_banded(96, 4, n_min=flow._JUMP_MAX + 1))
+    @given(h=structured_banded(96, 4, n_min=33))
     def test_large_block_snapshots_match_stepper(self, h):
         assert_jumps_match_stepper(h)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(3, 32), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           coupling=st.sampled_from([1e-12, 1e-6, 1e-2, 1.0, 1e3]))
+    def test_connected_blocks_of_up_to_32_rows_jump(self, n, m, seed, coupling):
+        # an evenly spaced ladder joined by its first band is the case the
+        # bound s <= (N - 1 + M) r leaves tightest: the predicted steps per
+        # span still exceed a jump's cost at the default rel_tol
+        rng = np.random.default_rng(seed)
+        m = min(m, n - 1)
+        bands = [np.arange(n, dtype=float)] + [
+            coupling * rng.uniform(0.5, 1.0, n - k) * (1.0 if k == 1 else rng.integers(0, 2, n - k))
+            for k in range(1, m + 1)
+        ]
+        assert jumps_pay_at_start(BandedSymmetricMatrix(n, m, bands).rows())
+
+    def test_hand_over_carries_the_step_rate(self, monkeypatch):
+        # the stepper hands the block to the jump loop with the h r it ran
+        # at, and the jump loop decides with it rather than the guess
+        calls = []
+        pay = flow._jumps_pay
+
+        def spy(rows, span, step):
+            calls.append((rows.copy(), step, pay(rows, span, step)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(flow, "_jumps_pay", spy)
+        h = random_banded(0, 128, 1)  # one block throughout (see the test after next)
+        integrate_flow(h, FlowConfig(convergence_tol=1e-30, ell_max=64.0 / gershgorin_spread(h)))
+        assert not calls[0][2]
+        k = next(i for i, c in enumerate(calls) if c[2])  # the stepper hands over
+        rows, step = calls[k][:2]
+        rate = step * flow._coupling_rate(rows)
+        assert rate != flow._STEP_RATE
+        # the jump loop starts on the same rows and predicts the same step
+        assert np.array_equal(calls[k + 1][0], rows) and calls[k + 1][2]
+        assert calls[k + 1][1] == rate / flow._coupling_rate(rows)
 
     def test_chain_hands_jumps_to_steps(self):
         # nothing deflates, so one block flows throughout: it jumps while
         # its large couplings turn, then steps once they have decayed
         h = spinboson_chain(96)
-        assert flow._jumps_pay(h.rows(), SPAN)
+        assert jumps_pay_at_start(h.rows())
         stats = assert_jumps_match_stepper(h)
         assert stats.n_deflations == 0 and stats.n_jumps >= 1 and stats.n_tasks == 1
 
@@ -812,7 +854,7 @@ class TestQRJumps:
         # a random tridiagonal of 128 rows sits near the crossover: its one
         # block starts with steps and hands over to jumps
         h = random_banded(0, 128, 1)
-        assert not flow._jumps_pay(h.rows(), SPAN)
+        assert not jumps_pay_at_start(h.rows())
         stats = assert_jumps_match_stepper(h)
         assert stats.n_deflations == 0 and stats.n_jumps >= 1 and stats.n_tasks == 1
 
