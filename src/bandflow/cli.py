@@ -231,7 +231,8 @@ def _spectrum_spinboson(args) -> tuple[list, int]:
     n_max = max(args.level_list)
     base = SpinBosonParams(delta=args.delta, lam=args.lam, omega=args.omega, branch=args.branch)
     base = dataclasses.replace(  # the truncation rule reads validated parameters
-        base, n_trunc=args.n_trunc or models.default_n_trunc(n_max, base.lam, base.omega)
+        base, n_trunc=models.default_n_trunc(n_max, base.lam, base.omega)
+        if args.n_trunc is None else args.n_trunc
     )
     params = models.certify_truncation(base, n_max, max_dim=args.n_trunc_max)
     h = models.build_spinboson(params)

@@ -33,18 +33,20 @@ splits off 2x2 blocks more than any other size, and the sign flow of a
 2x2 block (the Toda flow of a pair) has an exact solution, so such blocks
 are evaluated in closed form and build no stepper.  The sign flow of any
 block is the symmetric QR flow, so a larger block can advance by exact QR
-jumps instead of steps.  It jumps or steps by which its own state, and
-the step its stepper last ran at, predict to cost less (see _jumps_pay),
-deciding anew as it flows.  At the default rel_tol a block of 3 to 32
-rows whose couplings connect it always jumps.  Wegner flows and steps
-mode always step.
+jumps instead of steps.  One loop advances such a block by a jump or a
+step a pass, whichever its own state, and the step its stepper last ran
+at, predict to cost less (see _jumps_pay), deciding anew as it flows and
+switching in place.  At the default rel_tol a block of 3 to 32 rows
+whose couplings connect it always jumps.  Wegner flows and steps mode
+always step.
 
 Every flow runs on H / 2^k, with 2^k the binary exponent of max|h_nm|, so
 that squared entries and norms neither overflow nor underflow at any
 representable scale.  The flow is covariant under that rescaling (ell
 carries units of 1/energy, 1/energy^2 for Wegner's generator) and scaling
-by a power of two is exact, so results are mapped back exactly; abs_tol
-is taken in units of 2^k.
+by a power of two is exact, so results are mapped back exactly, unless
+they leave the float range (a ValueError); abs_tol is taken in units of
+2^k.
 """
 
 from __future__ import annotations
@@ -158,12 +160,13 @@ class FlowConfig:
 class ConservationReport:
     """Invariant drift accumulated over all recorded integration steps.
 
-    trace_drift and frobenius_drift are summed per-block maxima, i.e. upper
-    bounds on the drift of the assembled matrix.  partial_trace_violation is
-    the largest single-step increase of any partial trace sum(h_nn, n < r);
-    the sign flow decreases these monotonically, so anything above
-    integration noise indicates a defect.  Wegner flows report the same
-    quantity but carry no monotonicity guarantee.
+    trace_drift and frobenius_drift are summed maxima over each block's
+    runs of steps or of jumps, i.e. upper bounds on the drift of the
+    assembled matrix.  partial_trace_violation is the largest single-step
+    increase of any partial trace sum(h_nn, n < r); the sign flow
+    decreases these monotonically, so anything above integration noise
+    indicates a defect.  Wegner flows report the same quantity but carry
+    no monotonicity guarantee.
     """
 
     trace_drift: float = 0.0
@@ -186,21 +189,21 @@ class TraceRow:
 class FlowStats:
     """Work done by one flow.  Counts only, so equal inputs give equal stats.
 
-    n_tasks counts steppers built: one per stepped block, and one more
-    each time a sign-flow block hands back from jumps to steps.  n_exact
-    counts 2x2 blocks of the sign flow solved in closed form, and n_jumps
-    the exact QR jumps that advance sign-flow blocks of 3 or more rows,
-    neither of which builds a stepper (blocks that arrive
-    converged cost nothing and count nowhere).  n_deflations counts block
-    boundaries zeroed.  Every attempted step costs 12 RHS evaluations,
-    every stepper one more, and every automatic initial-step estimate one
-    more.  A stepper estimates its first step only if no stepper ran
-    before it in its block's history: blocks split off or handed between
-    steps and jumps inherit the last step size.  So an irreducible input
-    that steps from the start estimates once, and one that never steps
-    (at the default rel_tol, any sign-flow input of at most 32 rows whose
-    couplings connect it) costs no RHS evaluation.  A jump halved and
-    retried counts once.
+    n_tasks counts steppers built: one per block that starts by stepping,
+    and one more each time a sign-flow block switches from jumps to steps.
+    n_exact counts 2x2 blocks of the sign flow solved in closed form, and
+    n_jumps the exact QR jumps that advance sign-flow blocks of 3 or more
+    rows, neither of which builds a stepper (blocks that arrive converged
+    cost nothing and count nowhere).  n_deflations counts block boundaries
+    zeroed.  Every attempted step costs 12 RHS evaluations, every stepper
+    one more, and every automatic initial-step estimate one more.  A
+    stepper estimates its first step only if no stepper ran before it in
+    its block's history: blocks split off, and blocks that switch from
+    jumps back to steps, start at the last step size.  So an irreducible
+    input that steps from the start estimates once, and one that never
+    steps (at the default rel_tol, any sign-flow input of at most 32 rows
+    whose couplings connect it) costs no RHS evaluation.  A jump halved
+    and retried counts once.
     """
 
     n_rhs: int = 0
@@ -486,44 +489,45 @@ def _flow_pattern(h: np.ndarray) -> np.ndarray:
 class _Task:
     """A block of the flow queued at ell.
 
-    rate is the step h of the last stepper in the block's history times
-    the block's :func:`_coupling_rate` r when it stopped.  Until a stepper
-    has run it is _STEP_RATE, a guess: at rel_tol 1e-10, h r stayed at 0.34
-    to 0.41 on random blocks and 0.50 to 0.60 on spin-boson chains, so the
-    guess overcounts a chain's steps.  A block that is not stepping
-    predicts its step as rate / r.  If its couplings connect all N rows,
-    s <= (N - 1 + M) r for the Gershgorin spread s: a path of at most
-    N - 1 couplings joins the extreme diagonal entries, and every radius
-    is at most M r / 2.  So at the default rel_tol the guess makes every
-    such block of at most 32 rows jump.
+    h0 and rate pass from a block to the pieces it splits into.  h0 is the
+    step size of the last stepper in the block's history, and rate that
+    step h times the block's :func:`_coupling_rate` r when it stopped.
+    Until a stepper has run, h0 is None and rate is _STEP_RATE, a guess: at
+    rel_tol 1e-10, h r stayed at 0.34 to 0.41 on random blocks and 0.50 to
+    0.60 on spin-boson chains, so the guess overcounts a chain's steps.  A
+    block that is not stepping predicts its step as rate / r.  If its
+    couplings connect all N rows, s <= (N - 1 + M) r for the Gershgorin
+    spread s: a path of at most N - 1 couplings joins the extreme diagonal
+    entries, and every radius is at most M r / 2.  So at the default
+    rel_tol the guess makes every such block of at most 32 rows jump.
     """
 
     start: int
     rows: np.ndarray  # private (M_b+1) x N_b row array of this block
     ell: float
-    h0: float | None = None  # step size inherited across a split or hand-off
+    h0: float | None = None  # step size inherited across a split
     rate: float = _STEP_RATE
-
-    def step_guess(self, rows: np.ndarray) -> float:
-        return self.rate / _coupling_rate(rows)
 
 
 class _BandedFlow:
     """Flow driver for both generators.
 
     The sign generator flows with dynamic block deflation; its 2x2 blocks
-    flow in closed form, and larger ones by exact QR jumps or steps as
-    :func:`_jumps_pay` chooses from the block's state: when the block
-    starts, at every deflation scan while it steps (from the stepper's
-    step) and at every landing while it jumps (from the h r its last
-    stepper ran at, if it had one).  A block switches by being queued
-    again at its current ell, as a split queues its pieces, with the last
-    step size of its stepper and that h r.  Under the automatic ell_max a
-    2x2 block runs to its convergence ell even past the cap.  Wegner's
-    generator, whose input arrives widened to M = N - 1, and steps mode
-    integrate the whole matrix as one undeflated system.  Each block's state is its row array flattened; the assembled
-    final and snapshot matrices are (M+1) x N row arrays into which every
-    block writes its column slice.
+    flow in closed form.  A larger block advances in one loop, one exact
+    QR jump or one DOP853 step a pass, as :func:`_jumps_pay` chooses from
+    the block's state: when the block starts, at every deflation scan while
+    it steps (from the stepper's step) and at every landing while it jumps
+    (from the h r its last stepper ran at, if it had one).  It switches in
+    place: a stepper that hands over to jumps is dropped, keeping its step
+    h and h r, and a block that hands back to steps builds a new stepper
+    that starts at that h.  Under the automatic ell_max a 2x2 block runs to
+    its convergence ell even past the cap.  Wegner's generator, whose input
+    arrives widened to M = N - 1, and steps mode integrate the whole matrix
+    as one undeflated system.
+
+    Each block's state is its row array flattened; the assembled final and
+    snapshot matrices are (M+1) x N row arrays into which every block
+    writes its column slice.
 
     A jump spans dl = ln(rel_tol / u) / s for the block's Gershgorin spread
     s (u the unit roundoff), so cond(e^{-dl H}) <= rel_tol / u and the jump
@@ -532,10 +536,12 @@ class _BandedFlow:
     :func:`_flow_pattern`) is dropped from Q^T H Q and counted in
     frobenius_drift; a jump that would drop more than abs_tol + rel_tol
     ||H_b||_F is halved and retried, as the stepper rejects a step, and
-    one that shrinks below 16 eps max(ell, 1) raises StiffFlowError.
-    Before the first jump and after each one, ell_max included, the block
-    is checked for convergence, then scanned for deflation.  ell_final of a
-    jumped block is the landing ell of its first converged jump.
+    one that shrinks below 16 eps max(ell, 1) raises StiffFlowError, as a
+    step that does.  Before the first jump of a run and after each one,
+    ell_max included, the block is checked for convergence, then scanned
+    for deflation; a stepping block's scan comes every _DEFLATE_EVERY
+    steps, before its convergence check.  ell_final of a jumped block is
+    the landing ell of its first converged jump.
     """
 
     def __init__(self, h0: BandedSymmetricMatrix, config: FlowConfig):
@@ -717,14 +723,19 @@ class _BandedFlow:
             max_pt = max(max_pt, float(np.max(cum - prev_cum)))
             prev_cum = cum
 
-        def close_stats(n_accepted: int = 0, n_rejected: int = 0) -> None:
-            self.n_accepted += n_accepted
-            self.n_rejected += n_rejected
+        def close_run(y: np.ndarray, stepper=None) -> None:
+            """Add the drift of the run of steps or jumps that ends at y, and
+            its stepper's counts, to the flow's; the next run drifts from y."""
+            nonlocal trace0, frob0_sq_b, max_tr, max_fr
+            if stepper is not None:
+                self.n_accepted += stepper.n_accepted
+                self.n_rejected += stepper.n_rejected
             self.report.trace_drift += max_tr
             self.report.frobenius_drift += max_fr / max(self.frob0_sq, 1e-300)
             self.report.partial_trace_violation = max(
                 self.report.partial_trace_violation, max_pt
             )
+            trace0, frob0_sq_b, max_tr, max_fr = float(y[:nb].sum()), frob(y) ** 2, 0.0, 0.0
 
         if nb == 2 and not self.single:
             # A pair flows in closed form (the Toda flow), with no stepper.
@@ -749,7 +760,7 @@ class _BandedFlow:
                     self._write(self.snaps[s], task.start, snap.reshape(2, 2))
             pending = [s for s in pending if s >= end]
             track(y)
-            close_stats()
+            close_run(y)
             if _off_sq(y, 2) > self.conv_off_sq and self._deflation_cuts(y.reshape(2, 2)):
                 self.report.frobenius_drift += 2.0 * float(y[2]) ** 2 / max(self.frob0_sq, 1e-300)
                 y[2] = 0.0
@@ -758,98 +769,53 @@ class _BandedFlow:
             return
 
         span = math.log(max(cfg.rel_tol / _UNIT_ROUNDOFF, math.e))
-        if not self.single and _jumps_pay(task.rows, span, task.step_guess(task.rows)):
-            # Exact QR jumps of the Toda flow, with no stepper.
-            k, i = np.divmod(np.arange(y0.size), nb)
-            slots = np.flatnonzero(i + k < nb)  # slot k*nb + i holds h_{i,i+k}
-            ii, jj = i[slots], i[slots] + k[slots]
+        k, i = np.divmod(np.arange(y0.size), nb)
+        band = np.flatnonzero(i + k < nb)  # slot k*nb + i holds h_{i,i+k}
 
-            def dense(y: np.ndarray) -> np.ndarray:
-                h = np.zeros((nb, nb))
-                h[ii, jj] = h[jj, ii] = y[slots]
-                return h
+        def dense(y: np.ndarray, slots, ii, jj) -> np.ndarray:
+            h = np.zeros((nb, nb))
+            h[ii, jj] = h[jj, ii] = y[slots]
+            return h
 
-            dropped = ~_flow_pattern(dense(y0))
-            kept = ~dropped[ii, jj]  # from here on, only slots the flow can fill
-            slots, ii, jj = slots[kept], ii[kept], jj[kept]
+        def flow_slots(y: np.ndarray):
+            """The slots that a run of jumps from y keeps, those its exact
+            flow can fill, and the dense entries that the run drops."""
+            ii, jj = i[band], i[band] + k[band]
+            dropped = ~_flow_pattern(dense(y, band, ii, jj))
+            kept = ~dropped[ii, jj]
+            return band[kept], ii[kept], jj[kept], dropped
 
-            def jump(y: np.ndarray, ell: float, t_cap: float) -> tuple[float, np.ndarray]:
-                """Land one jump from state y at ell, at t_cap or short of it."""
-                h = dense(y)
-                e = y.reshape(mb + 1, nb)
-                radii = _gershgorin_radii(e)
-                lo, hi = float(np.min(e[0] - radii)), float(np.max(e[0] + radii))
-                dl = span / (hi - lo)
-                tol = cfg.abs_tol + cfg.rel_tol * frob(y)
-                while True:
-                    if dl <= 16.0 * np.finfo(float).eps * max(abs(ell), 1.0):
-                        close_stats()
-                        raise StiffFlowError(ell, frob(y) ** 2, _off_sq(y, nb))
-                    clipped = ell + dl >= t_cap
-                    step = t_cap - ell if clipped else dl
-                    g = _qr_jump(h, step, 0.5 * (lo + hi))
-                    removed = g[dropped]
-                    removed_sq = float(np.dot(removed, removed))
-                    if math.sqrt(removed_sq) <= tol:
-                        break
-                    dl = 0.5 * step
-                self.report.frobenius_drift += removed_sq / max(self.frob0_sq, 1e-300)
-                self.n_jumps += 1
-                y = np.zeros_like(y)
-                y[slots] = g[ii, jj]
-                return (t_cap if clipped else ell + step), y
-
-            def check(y: np.ndarray) -> tuple[bool, list[int]]:
-                """Whether y is converged, else where it may be deflated."""
-                if _off_sq(y, nb) <= self.conv_off_sq:
-                    return True, []
-                return False, self._deflation_cuts(y.reshape(mb + 1, nb))
-
-            ell, y = task.ell, y0.copy()
-            status = check(y)
+        def jump(y: np.ndarray, ell: float, t_cap: float) -> tuple[float, np.ndarray]:
+            """Land one jump from state y at ell, at t_cap or short of it."""
+            slots, ii, jj, dropped = pattern
+            h = dense(y, slots, ii, jj)
+            e = y.reshape(mb + 1, nb)
+            radii = _gershgorin_radii(e)
+            lo, hi = float(np.min(e[0] - radii)), float(np.max(e[0] + radii))
+            dl = span / (hi - lo)
+            tol = cfg.abs_tol + cfg.rel_tol * frob(y)
             while True:
-                converged, cuts = status
-                if converged:
-                    close_stats()
-                    finish(ell, y, True)
-                    return
-                if cuts:
-                    close_stats()
-                    self._split(tasks, task.start, y.reshape(mb + 1, nb), cuts, ell,
-                                task.h0, task.rate)
-                    return
-                if ell >= self.ell_max:
-                    close_stats()
-                    finish(ell, y, False)
-                    return
-                e = y.reshape(mb + 1, nb)
-                if ell > task.ell and not _jumps_pay(e, span, task.step_guess(e)):
-                    # steps pay now: hand the block to a stepper at this ell
-                    close_stats()
-                    self._push_blocks(tasks, e, task.start, [], ell, task.h0, task.rate)
-                    return
-                t_cap = min([s for s in pending if s > ell] + [self.ell_max])
-                landing = jump(y, ell, t_cap)
-                status = check(landing[1])
-                if status[1] and _has_unsorted_pair(landing[1].reshape(mb + 1, nb)):
-                    # Deflatable at the landing, where the flow is growing a
-                    # coupling (an unsorted pair; every other one shrinks):
-                    # bisect back, to within a quarter of the jump, toward
-                    # the earliest ell that converges or deflates, so that
-                    # the cut leaves that coupling small.
-                    for _ in range(_JUMP_BISECTIONS):
-                        mid = jump(y, ell, ell + 0.5 * (landing[0] - ell))
-                        mid_status = check(mid[1])
-                        if mid_status[0] or mid_status[1]:
-                            landing, status = mid, mid_status
-                        else:
-                            ell, y = mid
-                            track(y)
-                ell, y = landing
-                track(y)
-                if ell in pending and ell < self.ell_max:
-                    self._write(self.snaps[ell], task.start, y.reshape(mb + 1, nb))
-                    pending = [s for s in pending if s > ell]
+                if dl <= 16.0 * np.finfo(float).eps * max(abs(ell), 1.0):
+                    raise StepSizeUnderflow(ell, f"jump underflow at ell={ell:.6g}")
+                clipped = ell + dl >= t_cap
+                step = t_cap - ell if clipped else dl
+                g = _qr_jump(h, step, 0.5 * (lo + hi))
+                removed = g[dropped]
+                removed_sq = float(np.dot(removed, removed))
+                if math.sqrt(removed_sq) <= tol:
+                    break
+                dl = 0.5 * step
+            self.report.frobenius_drift += removed_sq / max(self.frob0_sq, 1e-300)
+            self.n_jumps += 1
+            y = np.zeros_like(y)
+            y[slots] = g[ii, jj]
+            return (t_cap if clipped else ell + step), y
+
+        def check(y: np.ndarray) -> tuple[bool, list[int]]:
+            """Whether y is converged, else where it may be deflated."""
+            if _off_sq(y, nb) <= self.conv_off_sq:
+                return True, []
+            return False, self._deflation_cuts(y.reshape(mb + 1, nb))
 
         if self.wegner:
             wegner = _wegner_band_rhs(nb)
@@ -866,59 +832,82 @@ class _BandedFlow:
                 _banded_rhs_inplace(y, out, nb, mb)
                 return out
 
-        stepper = Dopri54(
-            rhs,
-            task.ell,
-            y0,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            scale=frob,
-            first_step=task.h0,
-        )
-        self.n_tasks += 1
-        since_scan = 0
+        def start_stepper(ell: float, y: np.ndarray, h: float | None):
+            self.n_tasks += 1
+            return Dopri54(rhs, ell, y, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                           scale=frob, first_step=h)
 
+        # The block advances by one jump or one step a pass.  stepper is None
+        # while it jumps; h and rate are the step size and h r of the last
+        # stepper in its history (see _Task).
+        ell, y, h, rate = task.ell, y0, task.h0, task.rate
+        stepper = None
+        if not self.single and _jumps_pay(task.rows, span, rate / _coupling_rate(task.rows)):
+            pattern, status, run_ell = flow_slots(y), check(y), ell
+        else:
+            stepper, since_scan = start_stepper(ell, y, h), 0
         while True:
-            y = stepper.y
-            if _off_sq(y, nb) <= self.conv_off_sq:
-                close_stats(stepper.n_accepted, stepper.n_rejected)
-                finish(stepper.t, y, True)
-                return
-            if stepper.t >= self.ell_max:
-                close_stats(stepper.n_accepted, stepper.n_rejected)
-                finish(stepper.t, y, False)
-                return
-            t_cap = min([s for s in pending if s > stepper.t] + [self.ell_max])
+            e = y.reshape(mb + 1, nb)
+            cuts = []
+            if stepper is None:  # the start of a run of jumps, or a landing
+                converged, cuts = status
+                if converged or cuts or ell >= self.ell_max:
+                    break
+                if ell > run_ell and not _jumps_pay(e, span, rate / _coupling_rate(e)):
+                    close_run(y)  # steps pay now
+                    stepper, since_scan = start_stepper(ell, y, h), 0
+            elif since_scan == _DEFLATE_EVERY:  # a scan: cuts, then the choice
+                since_scan = 0
+                cuts = self._deflation_cuts(e)
+                if cuts:
+                    break
+                if not self.single and _jumps_pay(e, span, stepper.h):
+                    h, rate = stepper.h, stepper.h * _coupling_rate(e)
+                    close_run(y, stepper)
+                    stepper, pattern, status, run_ell = None, flow_slots(y), check(y), ell
+                    continue
+            if stepper is not None and (_off_sq(y, nb) <= self.conv_off_sq
+                                        or ell >= self.ell_max):
+                break
+            t_cap = min([s for s in pending if s > ell] + [self.ell_max])
             try:
-                stepper.step(t_cap)
+                if stepper is not None:
+                    stepper.step(t_cap)
+                    ell, y, since_scan = stepper.t, stepper.y, since_scan + 1
+                else:
+                    landing = jump(y, ell, t_cap)
+                    status = check(landing[1])
+                    if status[1] and _has_unsorted_pair(landing[1].reshape(mb + 1, nb)):
+                        # Deflatable at the landing, where the flow is growing
+                        # a coupling (an unsorted pair; every other one
+                        # shrinks): bisect back, to within a quarter of the
+                        # jump, toward the earliest ell that converges or
+                        # deflates, so that the cut leaves that coupling small.
+                        for _ in range(_JUMP_BISECTIONS):
+                            mid = jump(y, ell, ell + 0.5 * (landing[0] - ell))
+                            mid_status = check(mid[1])
+                            if mid_status[0] or mid_status[1]:
+                                landing, status = mid, mid_status
+                            else:
+                                ell, y = mid
+                                track(y)
+                    ell, y = landing
             except StepSizeUnderflow as exc:
-                close_stats(stepper.n_accepted, stepper.n_rejected)
-                raise StiffFlowError(exc.t, frob(stepper.y) ** 2, _off_sq(stepper.y, nb)) from exc
-
-            y = stepper.y
+                raise StiffFlowError(ell, frob(y) ** 2, _off_sq(y, nb)) from exc
             track(y)
             if cfg.record_steps:
-                self._emit_step_row(stepper.t, y)
-            e = y.reshape(mb + 1, nb)
-            if stepper.t in pending and stepper.t < self.ell_max:
-                self._write(self.snaps[stepper.t], task.start, e)
-                pending = [s for s in pending if s > stepper.t]
+                self._emit_step_row(ell, y)
+            if ell in pending and ell < self.ell_max:
+                self._write(self.snaps[ell], task.start, y.reshape(mb + 1, nb))
+                pending = [s for s in pending if s > ell]
 
-            since_scan += 1
-            if since_scan < _DEFLATE_EVERY:
-                continue
-            since_scan = 0
-            cuts = self._deflation_cuts(e)
-            if cuts or (not self.single and _jumps_pay(e, span, stepper.h)):
-                # split, or hand the block to the jump loop, at this ell,
-                # with the h r this stepper ran at
-                close_stats(stepper.n_accepted, stepper.n_rejected)
-                rate = stepper.h * _coupling_rate(e)
-                if cuts:
-                    self._split(tasks, task.start, e, cuts, stepper.t, stepper.h, rate)
-                else:
-                    self._push_blocks(tasks, e, task.start, [], stepper.t, stepper.h, rate)
-                return
+        if cuts and stepper is not None:
+            h, rate = stepper.h, stepper.h * _coupling_rate(e)
+        close_run(y, stepper)
+        if cuts:
+            self._split(tasks, task.start, e, cuts, ell, h, rate)
+        else:
+            finish(ell, y, _off_sq(y, nb) <= self.conv_off_sq)
 
 
 def _ldexp(x, e: int):
@@ -935,7 +924,9 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
     ``converged`` is set.  Hitting ell_max first is reported through the
     flag, not an exception.  For any integer j, flowing 2^j h0 with ell_max
     and snapshot ells scaled by 2^-j (2^-2j for Wegner) returns 2^j times
-    the same matrices, bit for bit.
+    the same matrices, bit for bit, as long as they fit the float range:
+    an eigenvalue can exceed every entry of h0, and a result past the
+    range raises ValueError.
     """
     config = config or FlowConfig()
     wegner = config.generator is GeneratorKind.WEGNER
@@ -975,7 +966,10 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
         ) from exc.__cause__
 
     def unscale(mat: BandedSymmetricMatrix) -> BandedSymmetricMatrix:
-        return BandedSymmetricMatrix.from_rows(_ldexp(mat.rows(), k))
+        rows = _ldexp(mat.rows(), k)
+        if not np.all(np.isfinite(rows)):
+            raise ValueError(f"flow result exceeds the float range (max {sys.float_info.max:.4g})")
+        return BandedSymmetricMatrix.from_rows(rows)
 
     original_ell = dict(zip(scaled_ells, config.snapshot_ells))
     ell_final = float(_ldexp(res.ell_final, -k_ell))

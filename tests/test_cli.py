@@ -308,11 +308,21 @@ class TestExitCodes:
         ["--omega", "1e-320", "--lambda", "1"],
         ["--lambda", "inf"],
         ["--lambda", "nan"],
+        ["--n-trunc", "0"],  # a bad truncation, not a request for the default
+        ["--n-trunc", "1"],
+        ["--n-trunc", "-3"],
     ])
     def test_spinboson_bad_parameters(self, capsys, flags):
         # the parameters are validated before the truncation rule divides by omega
         assert main(["spectrum", "--model", "spinboson", *flags]) == 3
         self._one_line_error(capsys)
+
+    def test_flow_spectrum_past_float_range(self, tmp_path, capsys):
+        # finite entries whose eigenvalue 2e308 is not
+        h = make_banded(2, 1, {(0, 0): 1e308, (1, 1): 1e308, (0, 1): -1e308})
+        assert main(["flow", write_file(tmp_path, "big.txt", h)]) == 3
+        err = capsys.readouterr().err
+        assert "float range" in err and "non-finite" not in err
 
     @pytest.mark.parametrize("argv", [
         ["flow", "{m}", "--trace-out", "{bad}"],

@@ -356,6 +356,12 @@ class TestScaleAndStats:
             rtol=1e-9,
         )
 
+    def test_spectrum_past_float_range(self):
+        # every entry is finite, but the eigenvalue 2e308 is not
+        h = make_banded(2, 1, {(0, 0): 1e308, (1, 1): 1e308, (0, 1): -1e308})
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            integrate_flow(h)
+
     def test_ell_max_past_float_range_after_scaling(self):
         # ell_max * 2^(2k) overflows here; the scaled cap saturates instead
         # of failing validation, and the flow converges long before it
@@ -455,6 +461,54 @@ class TestScaleAndStats:
     def test_stiff_error_pickles(self):
         exc = pickle.loads(pickle.dumps(StiffFlowError(1.5, 2.0, 3.0)))
         assert (exc.ell, exc.frob_sq, exc.offdiag_sq) == (1.5, 2.0, 3.0)
+
+    @staticmethod
+    def stall(h, scale):
+        h = BandedSymmetricMatrix.from_rows(scale * h.rows())
+        with pytest.raises(StiffFlowError) as info:
+            integrate_flow(h)
+        assert isinstance(info.value.__cause__, StepSizeUnderflow)
+        return info.value
+
+    @staticmethod
+    def assert_caller_units(h, e1, e2):
+        # the flow stalls at the same point at either scale, reported in the
+        # caller's units: ell ~ 1/energy, squared norms ~ energy^2
+        assert e1.ell > 0.0 and e2.ell == e1.ell / 2.0**10
+        assert e2.frob_sq == e1.frob_sq * 2.0**20 and e2.offdiag_sq == e1.offdiag_sq * 2.0**20
+        assert e1.frob_sq == pytest.approx(h.frobenius_norm_sq(), rel=1e-9)
+        assert 0.0 < e1.offdiag_sq < e1.frob_sq
+
+    def test_stalled_step_reports_caller_units(self, monkeypatch):
+        # a 96-level chain jumps first, then steps: the first stepper stalls
+        class Stalling(flow.Dopri54):
+            def step(self, t_cap):
+                raise StepSizeUnderflow(self.t, "stalled")
+
+        monkeypatch.setattr(flow, "Dopri54", Stalling)
+        h = spinboson_chain(96)
+        e1, e2 = self.stall(h, 1.0), self.stall(h, 2.0**10)
+        self.assert_caller_units(h, e1, e2)
+
+    def test_stalled_jump_reports_caller_units(self, monkeypatch):
+        # after its first jump, every jump leaves mass in the corner that the
+        # tridiagonal flow keeps zero, so it halves until it underflows
+        qr_jump = flow._qr_jump
+        calls = []
+
+        def leaky(h, dl, sigma):
+            g = qr_jump(h, dl, sigma)
+            calls.append(dl)
+            if len(calls) > 1:
+                g[0, 2] = g[2, 0] = 1.0
+            return g
+
+        monkeypatch.setattr(flow, "_qr_jump", leaky)
+        h = tridiag123()
+        e1 = self.stall(h, 1.0)
+        calls.clear()
+        e2 = self.stall(h, 2.0**10)
+        self.assert_caller_units(h, e1, e2)
 
 
 def pair(a, c, b):
@@ -753,7 +807,7 @@ SPAN = math.log(1e-10 / 2.0**-53)  # one jump at the default rel_tol, times s
 
 def jumps_pay_at_start(rows):
     """The choice of a sign-flow block with rows that has not stepped yet."""
-    return flow._jumps_pay(rows, SPAN, flow._Task(0, rows, 0.0).step_guess(rows))
+    return flow._jumps_pay(rows, SPAN, flow._STEP_RATE / flow._coupling_rate(rows))
 
 
 def assert_jumps_match_stepper(h):
@@ -821,8 +875,8 @@ class TestQRJumps:
         assert jumps_pay_at_start(BandedSymmetricMatrix(n, m, bands).rows())
 
     def test_hand_over_carries_the_step_rate(self, monkeypatch):
-        # the stepper hands the block to the jump loop with the h r it ran
-        # at, and the jump loop decides with it rather than the guess
+        # the stepper hands the block to jumps with the h r it ran at, and
+        # the block decides at its landings with that rather than the guess
         calls = []
         pay = flow._jumps_pay
 
@@ -838,9 +892,10 @@ class TestQRJumps:
         rows, step = calls[k][:2]
         rate = step * flow._coupling_rate(rows)
         assert rate != flow._STEP_RATE
-        # the jump loop starts on the same rows and predicts the same step
-        assert np.array_equal(calls[k + 1][0], rows) and calls[k + 1][2]
-        assert calls[k + 1][1] == rate / flow._coupling_rate(rows)
+        # the block switches in place and next decides at its first landing
+        landed = calls[k + 1][0]
+        assert not np.array_equal(landed, rows)
+        assert calls[k + 1][1] == rate / flow._coupling_rate(landed)
 
     def test_chain_hands_jumps_to_steps(self):
         # nothing deflates, so one block flows throughout: it jumps while
