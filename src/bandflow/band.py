@@ -211,20 +211,28 @@ def boundary_coupling_sq(rows: np.ndarray) -> np.ndarray:
     return cross
 
 
+def uncoupled_cuts(rows: np.ndarray) -> np.ndarray:
+    """Whether each cut c = 1..N-1 of an (M+1) x N row array is crossed by
+    no nonzero entry (n < c <= m <= n + M).
+
+    :func:`boundary_coupling_sq` counts the nonzero crossing entries here,
+    not their squares, so a coupling of 1e-170 whose square underflows
+    still joins the two sides.
+    """
+    return boundary_coupling_sq((rows != 0.0).astype(float)) == 0.0
+
+
 def split_irreducible(h: BandedSymmetricMatrix) -> list[IrreducibleBlock]:
     """Decompose into maximal blocks separated by exactly-zero couplings.
 
     A cut after index c-1 requires every stored entry crossing the boundary
-    (n < c <= m <= n + M) to be exactly zero; :func:`boundary_coupling_sq`
-    counts the nonzero ones, not their squares, so a coupling of 1e-170
-    whose square underflows still joins its block.  Tolerance-based
+    to be exactly zero (see :func:`uncoupled_cuts`).  Tolerance-based
     splitting is deliberately not offered here.  The blocks are contiguous, so for M >= 2 one block
     can hold several connected components of the coupling graph:
     h01 = h12 = 0 with h02 != 0 is one block in which index 1 couples to
     nothing.
     """
-    nonzero = (h.rows() != 0.0).astype(float)
-    cuts = np.flatnonzero(boundary_coupling_sq(nonzero) == 0.0) + 1
+    cuts = np.flatnonzero(uncoupled_cuts(h.rows())) + 1
     edges = [0, *(int(c) for c in cuts), h.dim]
     return [IrreducibleBlock(a, b) for a, b in zip(edges[:-1], edges[1:])]
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import analytics, models
 from .band import BandedSymmetricMatrix, read_matrix
-from .flow import FlowConfig, FlowResult, GeneratorKind, StiffFlowError, integrate_flow
+from .flow import FlowConfig, GeneratorKind, StiffFlowError, integrate_flow
 from .models import LipkinParams, SpinBosonParams, TruncationError
 from .oracle import eigenvalues_dense, eigenvalues_tridiag
 
@@ -97,7 +97,7 @@ def _parse_ells(text: str) -> tuple[float, ...]:
     return tuple(sorted(float(p) for p in text.split(",") if p.strip()))
 
 
-def _flow_config(args, snapshot_ells=(), record_steps=False) -> FlowConfig:
+def _flow_config(args, snapshot_ells=()) -> FlowConfig:
     return FlowConfig(
         generator=GeneratorKind(args.generator) if hasattr(args, "generator") else GeneratorKind.MIELKE,
         rel_tol=args.rtol,
@@ -105,7 +105,6 @@ def _flow_config(args, snapshot_ells=(), record_steps=False) -> FlowConfig:
         convergence_tol=args.conv_tol,
         ell_max=args.ell_max,
         snapshot_ells=snapshot_ells,
-        record_steps=record_steps,
     )
 
 
@@ -130,16 +129,6 @@ def _threads(n_tasks: int) -> int:
 # -- flow ------------------------------------------------------------------
 
 
-def _trace_rows_from_snapshots(result: FlowResult):
-    rows = []
-    for ell, mat in result.snapshots:
-        rows.append(
-            [ell, mat.trace(), mat.frobenius_norm_sq(), mat.offdiag_norm_sq()]
-            + list(mat.diagonal())
-        )
-    return rows
-
-
 def cmd_flow(args) -> int:
     try:
         with open(args.matrix) as f:
@@ -151,26 +140,21 @@ def cmd_flow(args) -> int:
         print(f"error: {args.matrix}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    record_steps = args.trace_at == "steps"
     try:
         snapshot_ells = _parse_ells(args.snapshot_ells) if args.snapshot_ells else ()
-        config = _flow_config(args, snapshot_ells=snapshot_ells, record_steps=record_steps)
-        result = integrate_flow(h0, config)
+        if args.trace_out and not snapshot_ells:
+            raise ValueError("--trace-out writes one row per snapshot; give --snapshot-ells")
+        result = integrate_flow(h0, _flow_config(args, snapshot_ells=snapshot_ells))
     except ValueError as exc:  # bad flags, or a Wegner flow over its size cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     if args.trace_out:
-        n = h0.dim
-        header = ["ell", "trace", "frob_sq", "offdiag_sq"] + [f"h{i}{i}" for i in range(n)]
-        if record_steps:
-            rows = [
-                [r.ell, r.trace, r.frob_sq, r.offdiag_sq] + list(r.diag)
-                for r in result.step_trace
-            ]
-        else:
-            rows = _trace_rows_from_snapshots(result)
-        _write_csv(args.trace_out, header, rows)
+        header = ["ell", "trace", "frob_sq", "offdiag_sq"] + [f"h{i}{i}" for i in range(h0.dim)]
+        _write_csv(args.trace_out, header, [
+            [ell, mat.trace(), mat.frobenius_norm_sq(), mat.offdiag_norm_sq(), *mat.diagonal()]
+            for ell, mat in result.snapshots
+        ])
 
     print("final_diagonal " + " ".join(repr(float(d)) for d in result.final.diagonal()))
     print(f"ell_final {float(result.ell_final)!r}")
@@ -431,9 +415,8 @@ def build_parser() -> _Parser:
     p.add_argument("--generator", choices=[g.value for g in GeneratorKind], default="mielke")
     _add_flow_flags(p)
     p.add_argument("--snapshot-ells", default="", help="comma-separated ell values to record")
-    p.add_argument("--trace-out", default=None, help="write flow trace CSV here")
-    p.add_argument("--trace-at", choices=["steps", "snapshots"], default="snapshots",
-                   help="trace rows per accepted step or per snapshot")
+    p.add_argument("--trace-out", default=None,
+                   help="write one CSV row per snapshot ell here (needs --snapshot-ells)")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("spectrum", help="model spectrum report: flow vs oracle vs formulas", **kw)

@@ -37,8 +37,7 @@ jumps instead of steps.  One loop advances such a block by a jump or a
 step a pass, whichever its own state, and the step its stepper last ran
 at, predict to cost less (see _jumps_pay), deciding anew as it flows and
 switching in place.  At the default rel_tol a block of 3 to 32 rows
-whose couplings connect it always jumps.  Wegner flows and steps mode
-always step.
+whose couplings connect it always jumps.  Wegner flows always step.
 
 Every flow runs on H / 2^k, with 2^k the binary exponent of max|h_nm|, so
 that squared entries and norms neither overflow nor underflow at any
@@ -60,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .band import BandedSymmetricMatrix, boundary_coupling_sq, split_irreducible
+from .band import BandedSymmetricMatrix, boundary_coupling_sq, split_irreducible, uncoupled_cuts
 from .ode import Dop853 as Dopri54  # perfbench/tracing.py patches this name
 from .ode import StepSizeUnderflow
 
@@ -70,7 +69,6 @@ __all__ = [
     "FlowResult",
     "FlowStats",
     "ConservationReport",
-    "TraceRow",
     "StiffFlowError",
     "mielke_eta",
     "mielke_rhs",
@@ -129,10 +127,6 @@ class FlowConfig:
     binary exponent of max|h_nm| (see :func:`integrate_flow`), so the
     per-step tolerance scales with the matrix.  Tolerances and ell_max must
     be finite and positive, snapshot ells finite, non-negative and sorted.
-
-    record_steps logs every accepted step.  Steps mode integrates the whole
-    matrix as one undeflated system (as every Wegner flow does), so it is
-    not the same run as the untraced sign-generator flow.
     """
 
     generator: GeneratorKind = GeneratorKind.MIELKE
@@ -141,7 +135,6 @@ class FlowConfig:
     convergence_tol: float = 1e-10
     ell_max: float | None = None
     snapshot_ells: tuple[float, ...] = ()
-    record_steps: bool = False
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "convergence_tol", "ell_max"):
@@ -172,17 +165,6 @@ class ConservationReport:
     trace_drift: float = 0.0
     frobenius_drift: float = 0.0
     partial_trace_violation: float = 0.0
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    """Per-step record of the flowing matrix (record_steps mode)."""
-
-    ell: float
-    trace: float
-    frob_sq: float
-    offdiag_sq: float
-    diag: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -223,7 +205,6 @@ class FlowResult:
     converged: bool
     snapshots: list[tuple[float, BandedSymmetricMatrix]]
     diagnostics: ConservationReport
-    step_trace: list[TraceRow] = field(default_factory=list)
     stats: FlowStats = field(default_factory=FlowStats)
 
 
@@ -522,8 +503,8 @@ class _BandedFlow:
     h and h r, and a block that hands back to steps builds a new stepper
     that starts at that h.  Under the automatic ell_max a 2x2 block runs to
     its convergence ell even past the cap.  Wegner's generator, whose input
-    arrives widened to M = N - 1, and steps mode integrate the whole matrix
-    as one undeflated system.
+    arrives widened to M = N - 1, integrates the whole matrix as one
+    undeflated system.
 
     Each block's state is its row array flattened; the assembled final and
     snapshot matrices are (M+1) x N row arrays into which every block
@@ -548,12 +529,11 @@ class _BandedFlow:
         self.h0 = h0
         self.config = config
         self.wegner = config.generator is GeneratorKind.WEGNER
-        self.single = self.wegner or config.record_steps
         self.frob0_sq = h0.frobenius_norm_sq()
         frob0 = math.sqrt(self.frob0_sq)
         # Per-block convergence and deflation budgets chosen so the sum over
         # (at most N) blocks stays inside the global convergence contract.
-        blocks_cap = 1 if self.single else h0.dim
+        blocks_cap = 1 if self.wegner else h0.dim
         self.conv_off_sq = (
             (config.convergence_tol**2) * max(self.frob0_sq, 1e-300) / blocks_cap
         )
@@ -575,14 +555,11 @@ class _BandedFlow:
         self.snap_ells = list(config.snapshot_ells)
         self.snaps = {s: rows0.copy() for s in self.snap_ells}
         self.report = ConservationReport()
-        self.step_rows: list[TraceRow] = []
         self.converged = True
         self.ell_final = 0.0
         self.final = rows0.copy()
         self.n_rhs = self.n_accepted = self.n_rejected = 0
         self.n_tasks = self.n_deflations = self.n_exact = self.n_jumps = 0
-        if config.record_steps:
-            self._emit_step_row(0.0, rows0.ravel())
 
     # -- helpers ----------------------------------------------------------
 
@@ -618,26 +595,22 @@ class _BandedFlow:
         self.n_deflations += len(cuts)
         self._push_blocks(tasks, e, start, cuts, ell, h, rate)
 
-    def _emit_step_row(self, ell: float, y: np.ndarray) -> None:
-        # Steps mode runs one task, so its state is the full matrix.
-        n = self.h0.dim
-        off_sq = _off_sq(y, n)
-        frob_sq = float(np.dot(y[:n], y[:n])) + off_sq
-        self.step_rows.append(TraceRow(ell, float(y[:n].sum()), frob_sq, off_sq, y[:n].copy()))
-
     def _deflation_cuts(self, e: np.ndarray) -> list[int]:
         """Boundaries of the block with rows e that may be zeroed now without
         leaving the error budget.
 
-        A cut at c is allowed when the Gershgorin enclosures of the two
-        would-be blocks are already ordered (so the exact flow could not
-        revive the coupling to reorder across c later), and the coupling is
-        small enough under one of two rules: the Weyl rule ||B|| <= theta
-        (eigenvalue shift at most ||B||), or the quadratic-residual rule
-        2 ||B||^2 / sep <= shift_budget valid once ||B|| <= sep/4, with sep
-        the certified spectral separation of the blocks.
+        A cut that no nonzero coupling crosses is always allowed: the flow
+        keeps its two sides apart for all ell, as the up-front split in
+        :meth:`run` relies on.  Any other cut at c is allowed when the
+        Gershgorin enclosures of the two would-be blocks are already ordered
+        (so the exact flow could not revive the coupling to reorder across c
+        later), and the coupling is small enough under one of two rules: the
+        Weyl rule ||B|| <= theta (eigenvalue shift at most ||B||), or the
+        quadratic-residual rule 2 ||B||^2 / sep <= shift_budget valid once
+        ||B|| <= sep/4, with sep the certified spectral separation of the
+        blocks.
         """
-        if self.single or e.shape[1] < 2:
+        if self.wegner or e.shape[1] < 2:
             return []
         cr = boundary_coupling_sq(e)  # per cut c = 1..nb-1
         # coarse prefilter: neither rule can fire above this bound
@@ -651,6 +624,8 @@ class _BandedFlow:
         lo = np.minimum.accumulate((d - radii)[::-1])[::-1]  # floor of c..nb-1
         sep = lo[1:] - hi[:-1]  # per cut c = 1..nb-1
         ordered = sep >= -self.order_slack
+        if np.any(~ordered & (cr == 0.0)):  # only there can nothing cross
+            ordered |= uncoupled_cuts(e)
         weyl = cr <= self.theta_sq
         with np.errstate(divide="ignore", invalid="ignore"):
             quad = (sep > 0.0) & (cr <= (0.25 * sep) ** 2) & (
@@ -664,7 +639,7 @@ class _BandedFlow:
         tasks: deque = deque()
         # Exactly-zero couplings split the input up front; the stencil never
         # regenerates them, so each block flows independently.
-        cuts = [] if self.single else [b.start for b in split_irreducible(self.h0)[1:]]
+        cuts = [] if self.wegner else [b.start for b in split_irreducible(self.h0)[1:]]
         self._push_blocks(tasks, self.h0.rows(), 0, cuts, 0.0, None)
         while tasks:
             self._run_task(tasks.popleft(), tasks)
@@ -676,7 +651,6 @@ class _BandedFlow:
             snapshots=[(s, BandedSymmetricMatrix.from_rows(self.snaps[s]))
                        for s in self.snap_ells],
             diagnostics=self.report,
-            step_trace=self.step_rows,
             stats=FlowStats(self.n_rhs, self.n_accepted, self.n_rejected,
                             self.n_tasks, self.n_deflations, self.n_exact, self.n_jumps),
         )
@@ -737,7 +711,7 @@ class _BandedFlow:
             )
             trace0, frob0_sq_b, max_tr, max_fr = float(y[:nb].sum()), frob(y) ** 2, 0.0, 0.0
 
-        if nb == 2 and not self.single:
+        if nb == 2 and not self.wegner:
             # A pair flows in closed form (the Toda flow), with no stepper.
             state, end = _pair_flow(task.rows, task.ell, self.conv_off_sq)
             # The automatic ell_max bounds work, and a pair costs O(1): run
@@ -842,7 +816,7 @@ class _BandedFlow:
         # stepper in its history (see _Task).
         ell, y, h, rate = task.ell, y0, task.h0, task.rate
         stepper = None
-        if not self.single and _jumps_pay(task.rows, span, rate / _coupling_rate(task.rows)):
+        if not self.wegner and _jumps_pay(task.rows, span, rate / _coupling_rate(task.rows)):
             pattern, status, run_ell = flow_slots(y), check(y), ell
         else:
             stepper, since_scan = start_stepper(ell, y, h), 0
@@ -861,7 +835,7 @@ class _BandedFlow:
                 cuts = self._deflation_cuts(e)
                 if cuts:
                     break
-                if not self.single and _jumps_pay(e, span, stepper.h):
+                if not self.wegner and _jumps_pay(e, span, stepper.h):
                     h, rate = stepper.h, stepper.h * _coupling_rate(e)
                     close_run(y, stepper)
                     stepper, pattern, status, run_ell = None, flow_slots(y), check(y), ell
@@ -895,8 +869,6 @@ class _BandedFlow:
             except StepSizeUnderflow as exc:
                 raise StiffFlowError(ell, frob(y) ** 2, _off_sq(y, nb)) from exc
             track(y)
-            if cfg.record_steps:
-                self._emit_step_row(ell, y)
             if ell in pending and ell < self.ell_max:
                 self._write(self.snaps[ell], task.start, y.reshape(mb + 1, nb))
                 pending = [s for s in pending if s > ell]
@@ -986,16 +958,6 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
             frobenius_drift=d.frobenius_drift,
             partial_trace_violation=float(_ldexp(d.partial_trace_violation, k)),
         ),
-        step_trace=[
-            TraceRow(
-                float(_ldexp(r.ell, -k_ell)),
-                float(_ldexp(r.trace, k)),
-                float(_ldexp(r.frob_sq, 2 * k)),
-                float(_ldexp(r.offdiag_sq, 2 * k)),
-                _ldexp(r.diag, k),
-            )
-            for r in res.step_trace
-        ],
         stats=res.stats,
     )
 

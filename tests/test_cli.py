@@ -91,20 +91,32 @@ class TestFlowCommand:
         assert float(rows[0][3]) == 2.0  # initial off-diagonal norm^2
 
     def test_trace_steps_round_trips(self, tmp_path, capsys):
+        # a dense grid of ells: 24 snapshots of one flow
         h = make_banded(3, 1, {(0, 0): 1, (1, 1): 2, (2, 2): 3, (0, 1): 1, (1, 2): 1})
         trace = tmp_path / "steps.csv"
+        ells = ",".join(repr(0.1 * j) for j in range(24))
         rc = main([
             "flow", write_file(tmp_path, "m.txt", h),
-            "--trace-at", "steps", "--trace-out", str(trace),
+            "--snapshot-ells", ells, "--trace-out", str(trace),
         ])
         capsys.readouterr()
         assert rc == 0
         text = trace.read_text()
         header, rows = parse_csv(text)
-        assert len(rows) > 5
+        assert len(rows) >= 20
         # repr round trip: re-serializing parsed floats reproduces the file
         for row in rows[:10]:
             assert all(repr(float(tok)) == tok for tok in row)
+
+    def test_trace_without_snapshots_exit_3(self, tmp_path, capsys):
+        # the trace has one row per snapshot, so it would hold only a header
+        h = make_banded(2, 1, {(0, 1): 1.0})
+        rc = main(["flow", write_file(tmp_path, "m.txt", h),
+                   "--trace-out", str(tmp_path / "t.csv")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--snapshot-ells" in captured.err
 
     def test_wegner_generator_flag(self, tmp_path, capsys):
         h = make_banded(2, 1, {(0, 1): 1.0, (1, 1): 1.0})
