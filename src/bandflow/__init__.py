@@ -47,11 +47,8 @@ from .models import (
 )
 from .analytics import (
     AsymptoticEigenvalue,
-    OrderingBound,
-    bessel,
     lipkin_rpa_gap,
     lipkin_rpa_spectrum,
-    ordering_bound_check,
     spinboson_eps_asym,
     spinboson_fnx,
 )

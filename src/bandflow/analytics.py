@@ -11,8 +11,6 @@ from .models import LipkinParams, SpinBosonParams
 
 __all__ = [
     "AsymptoticEigenvalue",
-    "OrderingBound",
-    "bessel",
     "bessel_j0",
     "bessel_j1",
     "bessel_y0",
@@ -21,7 +19,6 @@ __all__ = [
     "lipkin_rpa_gap",
     "spinboson_fnx",
     "spinboson_eps_asym",
-    "ordering_bound_check",
 ]
 
 _EULER = 0.57721566490153286060651209008240243104215933593992
@@ -167,6 +164,10 @@ def _check_arg(z: float, kind: str) -> float:
     return z
 
 
+# J0, J1, Y0, Y1 for z >= 0, absolute error 1e-10 or better on [1e-6, 200]
+# (the tests pin this against a high-precision oracle).
+
+
 def bessel_j0(z: float) -> float:
     z = _check_arg(z, "J0")
     if z <= _SERIES_CUTOVER:
@@ -197,28 +198,6 @@ def bessel_y1(z: float) -> float:
     if z <= _SERIES_CUTOVER:
         return _y1_series(z)
     return _hankel(z, 1)[1]
-
-
-_BESSEL_KINDS = {
-    "J0": bessel_j0,
-    "J1": bessel_j1,
-    "Y0": bessel_y0,
-    "Y1": bessel_y1,
-}
-
-
-def bessel(kind: str, z: float) -> float:
-    """Bessel function of the given kind ('J0', 'J1', 'Y0', 'Y1') at z >= 0.
-
-    Absolute accuracy is 1e-10 or better for z in [1e-6, 200] (in practice
-    close to machine precision; the tests pin this against a
-    high-precision oracle).
-    """
-    try:
-        fn = _BESSEL_KINDS[kind.upper()]
-    except KeyError:
-        raise ValueError(f"unknown Bessel kind {kind!r}; expected J0/J1/Y0/Y1") from None
-    return fn(z)
 
 
 # -- Lipkin large-J spectrum ----------------------------------------------------
@@ -295,7 +274,9 @@ class AsymptoticEigenvalue:
 
     cond_f = lam / (omega sqrt(n)) must be small for the Bessel form to
     apply; cond_order = (delta / 2 omega) sqrt(lam / (pi omega)) n^(-3/4)
-    must stay below 1 for the asymptotic level ordering to hold.
+    must stay below 1 for the asymptotic level ordering to hold.  It is the
+    large-n envelope of omega > (delta/2) |J0(beta_n) - J0(beta_{n+1})| with
+    beta_n = 2 lam sqrt(n) / omega.
     """
 
     n: int
@@ -352,23 +333,3 @@ def spinboson_eps_asym(
         n=n, value=value, formula=formula, cond_f=cond_f, cond_order=cond_order
     )
 
-
-@dataclass(frozen=True)
-class OrderingBound:
-    ok: bool
-    margin: float
-
-
-def ordering_bound_check(n: int, params: SpinBosonParams) -> OrderingBound:
-    """Check omega > (delta/2) |J0(2 lam sqrt(n)/w) - J0(2 lam sqrt(n+1)/w)|.
-
-    A positive margin means the asymptotic eigenvalues of levels n, n+1 stay
-    ordered, which bounds the region where the large-n formulas apply.
-    """
-    if n < 1:
-        raise ValueError("ordering bound is a large-n statement; need n >= 1")
-    w = params.omega
-    u_n = 2.0 * params.lam * math.sqrt(n) / w
-    u_n1 = 2.0 * params.lam * math.sqrt(n + 1.0) / w
-    rhs = 0.5 * params.delta * abs(bessel_j0(u_n) - bessel_j0(u_n1))
-    return OrderingBound(ok=w > rhs, margin=w - rhs)

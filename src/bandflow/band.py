@@ -25,10 +25,6 @@ class IrreducibleBlock:
     start: int
     end: int
 
-    @property
-    def size(self) -> int:
-        return self.end - self.start
-
 
 class BandedSymmetricMatrix:
     """Real symmetric N x N matrix with h_nm = 0 enforced for |n - m| > M.
@@ -121,28 +117,6 @@ class BandedSymmetricMatrix:
             a[idx + k, idx] = self._rows[k, : self.dim - k]
         return a
 
-    @classmethod
-    def from_dense(cls, a: np.ndarray, bandwidth: int | None = None) -> "BandedSymmetricMatrix":
-        """Build from a dense symmetric array, verifying the band profile."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        if not np.allclose(a, a.T, rtol=0.0, atol=0.0):
-            raise ValueError("matrix is not exactly symmetric")
-        if bandwidth is None:
-            bandwidth = 0
-            for k in range(n - 1, 0, -1):
-                if np.any(np.diagonal(a, k) != 0.0):
-                    bandwidth = k
-                    break
-        else:
-            for k in range(bandwidth + 1, n):
-                if np.any(np.diagonal(a, k) != 0.0):
-                    raise ValueError(f"nonzero entry at offset {k} > bandwidth {bandwidth}")
-        bands = [np.diagonal(a, k) for k in range(bandwidth + 1)]
-        return cls(n, bandwidth, bands)
-
     # -- scalar functionals ---------------------------------------------------
 
     def trace(self) -> float:
@@ -155,12 +129,6 @@ class BandedSymmetricMatrix:
     def offdiag_norm_sq(self) -> float:
         off = self._rows[1:].ravel()
         return 2.0 * float(np.dot(off, off))
-
-    def partial_trace(self, r: int) -> float:
-        """Sum of the first r diagonal entries."""
-        if not 1 <= r <= self.dim:
-            raise ValueError(f"r must be in 1..{self.dim}, got {r}")
-        return float(self._rows[0, :r].sum())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BandedSymmetricMatrix(dim={self.dim}, bandwidth={self.bandwidth})"

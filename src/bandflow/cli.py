@@ -19,7 +19,6 @@ import argparse
 import concurrent.futures
 import contextlib
 import dataclasses
-import math
 import os
 import sys
 from typing import IO, Sequence
@@ -30,7 +29,7 @@ from . import analytics, models
 from .band import BandedSymmetricMatrix, read_matrix
 from .flow import FlowConfig, GeneratorKind, StiffFlowError, integrate_flow
 from .models import LipkinParams, SpinBosonParams, TruncationError
-from .oracle import eigenvalues_dense, eigenvalues_tridiag
+from .oracle import eigenvalues_tridiag
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2

@@ -728,11 +728,11 @@ class _BandedFlow:
                 y = state(end)
             self.n_exact += 1
             for s in pending:  # ascending, so drifts are tracked in ell order
-                if s < end:
+                if s <= end:
                     snap = state(s)
                     track(snap)
                     self._write(self.snaps[s], task.start, snap.reshape(2, 2))
-            pending = [s for s in pending if s >= end]
+            pending = [s for s in pending if s > end]
             track(y)
             close_run(y)
             if _off_sq(y, 2) > self.conv_off_sq and self._deflation_cuts(y.reshape(2, 2)):
@@ -869,7 +869,7 @@ class _BandedFlow:
             except StepSizeUnderflow as exc:
                 raise StiffFlowError(ell, frob(y) ** 2, _off_sq(y, nb)) from exc
             track(y)
-            if ell in pending and ell < self.ell_max:
+            if ell in pending:
                 self._write(self.snaps[ell], task.start, y.reshape(mb + 1, nb))
                 pending = [s for s in pending if s > ell]
 
@@ -921,11 +921,10 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
         scaled = min(float(_ldexp(ell, k_ell)), sys.float_info.max)
         return max(scaled, math.ulp(0.0)) if ell > 0.0 else scaled
 
-    scaled_ells = tuple(scale_ell(s) for s in config.snapshot_ells)
     scaled = dataclasses.replace(
         config,
         ell_max=None if config.ell_max is None else scale_ell(config.ell_max),
-        snapshot_ells=scaled_ells,
+        snapshot_ells=tuple(scale_ell(s) for s in config.snapshot_ells),
     )
     h = BandedSymmetricMatrix.from_rows(_ldexp(rows, -k))
     try:
@@ -943,7 +942,6 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
             raise ValueError(f"flow result exceeds the float range (max {sys.float_info.max:.4g})")
         return BandedSymmetricMatrix.from_rows(rows)
 
-    original_ell = dict(zip(scaled_ells, config.snapshot_ells))
     ell_final = float(_ldexp(res.ell_final, -k_ell))
     if config.ell_max is not None:  # a saturated ell_max maps back past the caller's
         ell_final = min(ell_final, config.ell_max)
@@ -952,7 +950,8 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
         final=unscale(res.final),
         ell_final=ell_final,
         converged=res.converged,
-        snapshots=[(original_ell[ell], unscale(mat)) for ell, mat in res.snapshots],
+        snapshots=[(ell, unscale(mat))
+                   for ell, (_, mat) in zip(config.snapshot_ells, res.snapshots)],
         diagnostics=ConservationReport(
             trace_drift=float(_ldexp(d.trace_drift, k)),
             frobenius_drift=d.frobenius_drift,

@@ -106,8 +106,6 @@ def build_lipkin_blocks(
         dim_b = params.two_j // 2
     else:
         dim_a = dim_b = (params.two_j + 1) // 2
-    if dim_b == 0:  # two_j == 0 is excluded by validation; guard anyway
-        raise ValueError("two_j must be at least 1")
     return _lipkin_block(params, 0, dim_a), _lipkin_block(params, 1, dim_b)
 
 
@@ -152,10 +150,7 @@ def lipkin_reduced_conserved(state: LipkinReducedState, params: LipkinParams) ->
 
 
 def integrate_lipkin_reduced(
-    params: LipkinParams,
-    block: int = 1,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
+    params: LipkinParams, block: int = 1
 ) -> tuple[LipkinReducedState, float]:
     """Integrate the reduced flow until f has decayed to the numeric floor.
 
@@ -170,7 +165,7 @@ def integrate_lipkin_reduced(
         da, db, df = lipkin_reduced_rhs(LipkinReducedState(*y), params, block)
         return np.array([da, db, df])
 
-    stepper = Dop853(rhs, 0.0, y0, rel_tol=rel_tol, abs_tol=abs_tol)
+    stepper = Dop853(rhs, 0.0, y0, rel_tol=1e-12, abs_tol=1e-14)
     c0 = lipkin_reduced_conserved(s0, params)
     drift = 0.0
     # f decays like exp(-a ell); 2000 caps runaway for pathological inputs
@@ -248,19 +243,14 @@ def default_n_trunc(n_target: int, lam: float, omega: float) -> int:
 
 
 def certify_truncation(
-    params: SpinBosonParams,
-    n_report: int,
-    tol: float | None = None,
-    max_dim: int = 1 << 14,
+    params: SpinBosonParams, n_report: int, max_dim: int = 1 << 14
 ) -> SpinBosonParams:
     """Double n_trunc until the reported levels stop moving.
 
-    The lowest n_report+1 eigenvalues must change by less than tol
-    (default 1e-8 * omega) when the dimension doubles; returns params with
+    The lowest n_report+1 eigenvalues must change by less than the fixed
+    tolerance 1e-8 * omega when the dimension doubles; returns params with
     the certified n_trunc.
     """
-    if tol is None:
-        tol = 1e-8 * params.omega
     n_dim = max(params.n_trunc, n_report + 2)
     while n_dim <= max_dim:
         p1 = dataclasses.replace(params, n_trunc=n_dim)
@@ -268,7 +258,7 @@ def certify_truncation(
         h1, h2 = build_spinboson(p1), build_spinboson(p2)
         ev1 = eigenvalues_tridiag(h1.band(0), h1.band(1)).eigenvalues
         ev2 = eigenvalues_tridiag(h2.band(0), h2.band(1)).eigenvalues
-        if np.max(np.abs(ev1[: n_report + 1] - ev2[: n_report + 1])) < tol:
+        if np.max(np.abs(ev1[: n_report + 1] - ev2[: n_report + 1])) < 1e-8 * params.omega:
             return p1
         n_dim *= 2
     raise TruncationError(
@@ -374,8 +364,6 @@ def integrate_spinboson_reduced(
     n_target: int,
     window: int = 10,
     x_eval: tuple[float, ...] = (),
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
 ) -> ReducedSpinBosonResult:
     """Integrate the deviation system for a window of levels around n_target.
 
@@ -407,7 +395,7 @@ def integrate_spinboson_reduced(
         return np.concatenate((df, dg))
 
     y0 = np.concatenate((np.ones(count), np.zeros(count)))
-    stepper = Dop853(rhs, 0.0, y0, rel_tol=rel_tol, abs_tol=abs_tol)
+    stepper = Dop853(rhs, 0.0, y0, rel_tol=1e-10, abs_tol=1e-12)
     xs: list[float] = []
     fs: list[float] = []
     if x_eval and x_eval[0] == 0.0:

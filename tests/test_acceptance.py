@@ -23,7 +23,6 @@ import pytest
 from bandflow.analytics import (
     bessel_j0,
     lipkin_rpa_gap,
-    ordering_bound_check,
     spinboson_eps_asym,
     spinboson_fnx,
 )

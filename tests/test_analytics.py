@@ -6,14 +6,12 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from bandflow.analytics import (
-    bessel,
     bessel_j0,
     bessel_j1,
     bessel_y0,
     bessel_y1,
     lipkin_rpa_gap,
     lipkin_rpa_spectrum,
-    ordering_bound_check,
     spinboson_eps_asym,
     spinboson_fnx,
 )
@@ -25,34 +23,30 @@ J0_FIRST_ZERO = 2.404825557695773
 
 class TestBessel:
     def test_j0_at_origin(self):
-        assert bessel("J0", 0.0) == 1.0
+        assert bessel_j0(0.0) == 1.0
 
     def test_j1_at_origin(self):
-        assert bessel("J1", 0.0) == 0.0
+        assert bessel_j1(0.0) == 0.0
 
     def test_j0_first_zero(self):
         assert abs(bessel_j0(J0_FIRST_ZERO)) < 1e-9
 
     def test_y_rejects_origin(self):
-        for kind in ("Y0", "Y1"):
+        for fn in (bessel_y0, bessel_y1):
             with pytest.raises(ValueError):
-                bessel(kind, 0.0)
+                fn(0.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bessel_j0(-1.0)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            bessel("I0", 1.0)
-
-    @pytest.mark.parametrize("kind,ref", [
-        ("J0", lambda z: mpmath.besselj(0, z)),
-        ("J1", lambda z: mpmath.besselj(1, z)),
-        ("Y0", lambda z: mpmath.bessely(0, z)),
-        ("Y1", lambda z: mpmath.bessely(1, z)),
-    ])
-    def test_against_high_precision_oracle(self, kind, ref):
+    @pytest.mark.parametrize("fn,ref", [
+        (bessel_j0, lambda z: mpmath.besselj(0, z)),
+        (bessel_j1, lambda z: mpmath.besselj(1, z)),
+        (bessel_y0, lambda z: mpmath.bessely(0, z)),
+        (bessel_y1, lambda z: mpmath.bessely(1, z)),
+    ], ids=["J0-<lambda>", "J1-<lambda>", "Y0-<lambda>", "Y1-<lambda>"])
+    def test_against_high_precision_oracle(self, fn, ref):
         mpmath.mp.dps = 30
         grid = np.concatenate(
             [
@@ -62,7 +56,7 @@ class TestBessel:
                 [7.999999, 8.0, 8.000001],
             ]
         )
-        worst = max(abs(bessel(kind, float(z)) - float(ref(z))) for z in grid)
+        worst = max(abs(fn(float(z)) - float(ref(z))) for z in grid)
         assert worst <= 1e-10
 
 
@@ -194,20 +188,6 @@ class TestEpsAsym:
         envelope = 0.5 * p.delta * math.sqrt(2.0 / (math.pi * beta))
         assert abs(e2 - e1) <= 3.0 * envelope / beta
 
-
-class TestOrderingBound:
-    def test_no_spin_splitting(self):
-        res = ordering_bound_check(4, sb(0.0, 1.0))
-        assert res.ok and res.margin == pytest.approx(1.0)
-
-    def test_no_coupling(self):
-        res = ordering_bound_check(4, sb(2.0, 0.0))
-        assert res.ok and res.margin == pytest.approx(1.0)
-
-    def test_strong_coupling_point(self):
-        res = ordering_bound_check(10, sb(5.0, 4.0))
-        assert res.ok and 0.0 < res.margin < 1.0
-
     def test_flow_diagonal_increasing_where_bound_holds(self):
         from bandflow.flow import integrate_flow
         from bandflow.models import build_spinboson, certify_truncation, default_n_trunc
@@ -217,7 +197,7 @@ class TestOrderingBound:
             n_trunc=default_n_trunc(25, 4.0, 1.0),
         )
         params = certify_truncation(base, 25)
-        assert all(ordering_bound_check(n, params).ok for n in range(10, 25))
+        assert all(spinboson_eps_asym(n, params).cond_order < 1 for n in range(10, 25))
         result = integrate_flow(build_spinboson(params))
         assert result.converged
         diag = result.final.diagonal()

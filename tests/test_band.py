@@ -62,21 +62,10 @@ class TestScalars:
     def test_symmetric_two_level(self):
         h = make_banded(2, 1, {(0, 1): 1.0})
         assert h.frobenius_norm_sq() == 2.0
-        assert h.partial_trace(1) == 0.0
 
     def test_tridiagonal_offdiag(self):
         h = make_banded(3, 1, {(0, 0): 1, (1, 1): 2, (2, 2): 3, (0, 1): 1, (1, 2): 1})
         assert h.offdiag_norm_sq() == 4.0
-
-    def test_partial_trace_full_equals_trace(self):
-        h = random_banded(5, 12, 3)
-        assert h.partial_trace(12) == pytest.approx(h.trace(), abs=0.0)
-
-    def test_partial_trace_range_check(self):
-        h = random_banded(5, 4, 1)
-        for bad in (0, 5, -1):
-            with pytest.raises(ValueError):
-                h.partial_trace(bad)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_frobenius_counts_both_copies(self, seed):
@@ -122,17 +111,6 @@ class TestAccess:
         with pytest.raises(ValueError, match="padding"):
             BandedSymmetricMatrix.from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
-    def test_from_dense_round_trip(self):
-        h = random_banded(3, 7, 2)
-        again = BandedSymmetricMatrix.from_dense(h.to_dense())
-        assert again.bandwidth == 2
-        assert np.array_equal(again.to_dense(), h.to_dense())
-
-    def test_from_dense_rejects_wide_profile(self):
-        dense = random_banded(3, 7, 3).to_dense()
-        with pytest.raises(ValueError, match="offset"):
-            BandedSymmetricMatrix.from_dense(dense, bandwidth=2)
-
 
 class TestSplitIrreducible:
     def test_all_diagonal(self):
@@ -151,7 +129,6 @@ class TestSplitIrreducible:
         )
         blocks = split_irreducible(h)
         assert [(b.start, b.end) for b in blocks] == [(0, 2), (2, 4)]
-        assert [b.size for b in blocks] == [2, 2]
 
     def test_wide_band_boundary_needs_all_zero(self):
         # (0,2) crosses the would-be cut after index 1 at bandwidth 2

@@ -355,6 +355,17 @@ class TestScaleAndStats:
         assert res.ell_final == 1.0
         assert np.array_equal(res.final.to_dense(), h.to_dense())
 
+    @pytest.mark.parametrize("scale,ells", [
+        (1e10, (1e300, 1.7e308)),  # both saturate at the top of the float range
+        (1e-300, (1e-10, 1e-10 * (1 + 4e-16))),  # both round to one subnormal
+    ])
+    def test_snapshot_ells_that_scale_to_one_float(self, scale, ells):
+        h = make_banded(2, 1, {(0, 0): scale, (1, 1): -scale, (0, 1): 0.3 * scale})
+        res = integrate_flow(h, FlowConfig(snapshot_ells=ells))
+        assert ells[0] != ells[1]
+        assert [ell for ell, _ in res.snapshots] == list(ells)
+        assert np.array_equal(res.snapshots[0][1].rows(), res.snapshots[1][1].rows())
+
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(2, 8),
@@ -714,6 +725,12 @@ class TestFlowProperties:
     @example(h=make_banded(10, 4, {(n, n): 1 for n in (0, 1, 4, 5, 7, 8, 9)} | {
         (0, 2): -0.9666, (0, 3): -0.2974, (1, 5): 0.4148, (2, 4): 0.0121,
         (2, 5): -0.5003, (5, 9): -0.553}))
+    # Deflated at ell_max = 8, where its snapshot was never written.
+    @example(h=BandedSymmetricMatrix(3, 2, [
+        [-0.9319088354444491, -0.141071710722245, 0.3704071797996853],
+        [-0.6873067001928272, -0.22868431068489836], [-0.9603317090601262]]))
+    # A pair deflated at ell_max = 2, whose snapshot there showed the cut.
+    @example(h=make_banded(2, 1, {(0, 0): -3.0, (1, 1): 5.0, (0, 1): 0.7}))
     def test_sign_generator(self, h):
         ells = (0.5, 2.0)
         res = integrate_flow(h, FlowConfig(snapshot_ells=ells))
@@ -729,6 +746,12 @@ class TestFlowProperties:
                 assert np.all(np.diff(d[idx]) >= -tol)
         np.testing.assert_allclose(np.sort(d), ev, rtol=0.0, atol=tol)
         assert res.diagnostics.partial_trace_violation <= 1e-9
+        # a snapshot at ell_max shows the flow there before any cut, as a
+        # longer flow does
+        for e in (0.5, 2.0, 8.0):
+            at, past = (integrate_flow(h, FlowConfig(ell_max=c, snapshot_ells=(e,)))
+                        .snapshots[0][1].rows() for c in (e, 2.0 * e))
+            assert np.array_equal(at, past)
 
     def test_unsorted_limit(self):
         # Irreducible, but the lowest eigenvector (0, 1, 1, 2)/sqrt(6) has

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bandflow.flow import FlowConfig, integrate_flow
 from bandflow.models import (
     LipkinParams,
     SpinBosonParams,
@@ -212,6 +213,20 @@ class TestDelta0Flow:
             _, d_prev = spinboson_delta0_flow(n - 1, ell, self.PARAMS)
             rhs += 2.0 * d_prev**2
         assert deriv == pytest.approx(rhs, rel=1e-8)
+
+    @pytest.mark.parametrize("n_trunc,lam,jumps", [(40, 1.0, True), (200, 4.0, False)])
+    def test_matches_flow_snapshots(self, n_trunc, lam, jumps):
+        # The 40-row chain flows by QR jumps, the 200-row one by DOP853
+        # steps; the closed form shares no code with either.  The cut at
+        # n_trunc perturbs only levels near the top.
+        p = SpinBosonParams(delta=0.0, lam=lam, omega=1.0, n_trunc=n_trunc)
+        ells = (0.1, 0.5, 1.0, 2.0, 4.0)
+        res = integrate_flow(build_spinboson(p), FlowConfig(snapshot_ells=ells))
+        assert (res.stats.n_jumps > 0, res.stats.n_rhs > 0) == (jumps, not jumps)
+        for ell, snap in res.snapshots:
+            want = np.array([spinboson_delta0_flow(n, ell, p) for n in range(21)])
+            np.testing.assert_allclose(snap.diagonal()[:21], want[:, 0], rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(snap.band(1)[:21], want[:, 1], rtol=0.0, atol=1e-10)
 
     def test_requires_delta_zero(self):
         p = dataclasses.replace(self.PARAMS, delta=0.5)
