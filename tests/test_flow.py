@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,66 @@ class TestTableau:
         assert global_error(1.0) / global_error(0.5) >= 2.0**7.5
 
 
+class TestStageLayout:
+    """The slices a step reads from its stage matrix, built from the tableau."""
+
+    COMBINATIONS = [(i, lo, hi, w[None], ode._A[i][None])
+                    for i, (lo, hi, w) in enumerate(ode._STAGE_ROWS, 1)]
+    COMBINATIONS.append((ode._STAGES, *ode._FINAL_ROWS,
+                         np.stack((ode._B, ode._E5, ode._E3))))
+
+    def test_rows_hold_every_stage_once(self):
+        assert sorted(ode._ROW) == list(range(ode._STAGES + 1))
+        assert ode._ROW[ode._STAGES] == ode._STAGES  # the FSAL evaluation
+
+    @pytest.mark.parametrize("i, lo, hi, w, weights", COMBINATIONS)
+    def test_slice_reads_only_earlier_stages(self, i, lo, hi, w, weights):
+        # a row this attempt has not written may hold NaN, and 0 * NaN is NaN
+        assert all(ode._ROW.index(r) < i for r in range(lo, hi))
+
+    @pytest.mark.parametrize("i, lo, hi, w, weights", COMBINATIONS)
+    def test_slice_holds_every_weighted_row(self, i, lo, hi, w, weights):
+        assert w.shape == (len(weights), hi - lo)
+        for s in range(weights.shape[1]):
+            if np.any(weights[:, s] != 0.0):
+                assert lo <= ode._ROW[s] < hi
+                np.testing.assert_array_equal(w[:, ode._ROW[s] - lo], weights[:, s])
+
+    @pytest.mark.parametrize("i, lo, hi, w, weights", COMBINATIONS)
+    def test_slice_combination_matches_tableau(self, i, lo, hi, w, weights):
+        k = np.random.default_rng(i).normal(size=(ode._STAGES + 1, 50))
+        stored = np.empty_like(k)
+        stored[list(ode._ROW)] = k
+        want = weights @ k[:i]
+        scale = np.abs(weights) @ np.abs(k[:i])
+        assert np.all(np.abs(w @ stored[lo:hi] - want) <= 1e-14 * scale)
+
+    def test_rows_read_per_step(self):
+        assert sum(hi - lo for lo, hi, _ in ode._STAGE_ROWS) == 52
+        assert ode._FINAL_ROWS[1] - ode._FINAL_ROWS[0] == 10
+
+
+def textbook_step(fun, t, y, h):
+    """One DOP853 step as plain sums over the tableau, stages in order.
+
+    Returns y_new, e5 and e3, each with the sum of the magnitudes of the
+    terms it adds up: the scale that rounding is relative to.
+    """
+    k = [fun(t, y)]
+    for i in range(1, 12):
+        yi = y.copy()
+        for j in range(i):
+            yi += h * ode._A[i][j] * k[j]
+        k.append(fun(t + ode._C[i] * h, yi))
+    y_new = y + sum(h * ode._B[j] * k[j] for j in range(12))
+    y_scale = np.abs(y) + sum(np.abs(h * ode._B[j] * k[j]) for j in range(12))
+    e5 = sum(ode._E5[j] * k[j] for j in range(12))
+    e5_scale = sum(np.abs(ode._E5[j] * k[j]) for j in range(12))
+    e3 = sum(ode._E3[j] * k[j] for j in range(12))
+    e3_scale = sum(np.abs(ode._E3[j] * k[j]) for j in range(12))
+    return (y_new, y_scale), (e5, e5_scale), (e3, e3_scale)
+
+
 class TestStepper:
     def test_exponential_decay(self):
         stepper = Dop853(lambda t, y: -y, 0.0, np.array([1.0]), rel_tol=1e-11, abs_tol=1e-13)
@@ -95,8 +156,56 @@ class TestStepper:
         np.testing.assert_allclose(stepper.y, [1.0, 0.0], atol=1e-9)
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            Dop853(lambda t, y: -y, 0.0, np.array([1.0]), rel_tol=0.0)
+        for kwargs in ({"rel_tol": 0.0}, {"rel_tol": math.nan}, {"abs_tol": -1.0},
+                       {"abs_tol": math.nan}, {"max_step": 0.0}, {"max_step": -1.0},
+                       {"max_step": math.nan}, {"first_step": 0.0}, {"first_step": math.nan},
+                       {"y0": np.array([math.nan])}, {"y0": np.array([1.0, math.inf])}):
+            args = {"y0": np.array([1.0])} | kwargs
+            with pytest.raises(ValueError):
+                Dop853(lambda t, y: -y, 0.0, **args)
+
+    def test_nan_rhs_raises_underflow(self):
+        # a NaN derivative makes a NaN step size, which must not loop forever
+        stepper = Dop853(lambda t, y: np.full_like(y, math.nan), 0.0, np.array([1.0]))
+        with pytest.raises(StepSizeUnderflow):
+            stepper.step(1.0)
+
+    def test_step_allocates_no_stage_arrays(self):
+        # within a step only fun's result and y_new are new state-sized
+        # arrays; the stage arguments and the final product use kept buffers
+        n = 20000
+        a = -np.linspace(0.1, 1.0, n)
+        stepper = Dop853(lambda t, y: a * y, 0.0, np.ones(n))
+        stepper.step(1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stepper.step(1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stepper.n_rejected == 0
+        assert (peak - base) / (8 * n) <= 2.5
+
+    @pytest.mark.parametrize("n", [1, 7, 20000])
+    @pytest.mark.parametrize("h", [0.2, 0.7])
+    def test_step_matches_textbook_sums(self, n, h):
+        # the stage storage order and the stacked final product change only
+        # the order of the sums, so y_new, ||e5|| and ||e3|| agree with the
+        # plain tableau sums to rounding, relative to their terms' magnitudes
+        rng = np.random.default_rng(n)
+        y0, a = rng.uniform(-1.0, 1.0, n), rng.uniform(1.0, 3.0, n)
+
+        def rhs(t, y):
+            return np.cos(2.0 * t) - a * y * (1.0 + 0.1 * y)
+
+        stepper = Dop853(rhs, 0.25, y0, rel_tol=1e3, abs_tol=1e3, first_step=h)
+        stepper.step(10.0)
+        assert (stepper.t, stepper.n_rejected) == (0.25 + h, 0)
+        (y_new, y_scale), *errors = textbook_step(rhs, 0.25, y0, h)
+        assert np.all(np.abs(stepper.y - y_new) <= 1e-14 * y_scale)
+        for e, (want, scale) in zip(stepper._dy[1:], errors):
+            assert abs(np.linalg.norm(e) - np.linalg.norm(want)) <= 1e-14 * np.linalg.norm(scale)
 
     def test_underflow_at_singularity(self):
         # y' = y / (1 - t) blows up at t = 1; the controller must give up
