@@ -222,7 +222,7 @@ def _spectrum_spinboson(args) -> tuple[list, int]:
     result = integrate_flow(h, _flow_config(args))
     status = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     eps_flow = result.final.diagonal()
-    ev = eigenvalues_tridiag(h.band(0), h.band(1)).eigenvalues
+    ev = eigenvalues_tridiag(h.band(0), h.band(1), k=n_max + 1).eigenvalues
     rows = []
     for n in args.level_list:
         asym1 = asym2 = cond_f = cond_order = None

@@ -9,7 +9,11 @@ Multisection (Lo, Philippe & Sameh 1987) is bisection that puts many
 shifts into each Sturm sweep: a sweep's cost is mostly per-row interpreter
 overhead, so counting up to max(N, _PASS_SHIFTS) shifts at once costs about
 what counting N does, and a solve needs about a third of bisection's
-sweeps.  Both solvers run on the input divided by 2^k, 2^k the binary
+sweeps.  A solve for only the lowest k eigenvalues (``k=...``) opens only
+their k brackets: the same sweeps then spread their shifts over fewer
+brackets, so the cost scales with the brackets opened, not with N (the
+fig1 chain at N = 400 needs 12 sweeps for all 400 levels, 6 for the lowest
+21).  Both solvers run on the input divided by 2^e, 2^e the binary
 exponent of its largest entry, and map the result back exactly, so their
 results scale bit for bit with any power of two and do not overflow or
 underflow at entries of 1e200 or 1e-200.
@@ -63,27 +67,34 @@ def sturm_count(diag: np.ndarray, offdiag_sq: np.ndarray, shifts: np.ndarray) ->
     return count
 
 
-def eigenvalues_tridiag(diag, offdiag) -> SpectrumResult:
-    """All eigenvalues of a symmetric tridiagonal matrix by multisection.
+def eigenvalues_tridiag(diag, offdiag, k=None) -> SpectrumResult:
+    """The lowest k (default: all N) eigenvalues of a symmetric tridiagonal
+    matrix, by multisection.
 
     Parameters
     ----------
     diag : array of N diagonal entries.
     offdiag : array of N-1 off-diagonal entries.
+    k : number of eigenvalues to return, the lowest ones in ascending
+        order; an integer with 0 <= k <= N.  None means N.
 
     Eigenvalues are located to an absolute tolerance of 1e-12 times the
     matrix scale (the Gershgorin enclosure), which is the returned
-    ``residual_bound``; multiplicities are counted correctly because the
-    search brackets eigenvalue counts, not roots.
+    ``residual_bound`` whatever k is; multiplicities are counted correctly
+    because the search brackets eigenvalue counts, not roots.
 
-    Each pass finds the distinct open brackets, spreads at most
-    max(N, _PASS_SHIFTS) shifts evenly over them (p >= 1 interior points
-    each) and counts all of them in one Sturm sweep, so a pass narrows every
-    open bracket p + 1 fold; bisection is p = 1.  Eigenvalue i's bracket
-    keeps count(lo) < i <= count(hi) by construction, even where rounding
-    makes counts non-monotone.  An exactly-zero coupling starts a new block
-    in the sweep.  The search runs on the input divided by 2^k, 2^k the
-    binary exponent of the largest entry, and maps the result back exactly.
+    Each pass finds the distinct open brackets among the lowest k
+    eigenvalues, spreads at most max(N, _PASS_SHIFTS) shifts evenly over
+    them (p >= 1 interior points each) and counts all of them in one Sturm
+    sweep, so a pass narrows every open bracket p + 1 fold; bisection is
+    p = 1.  A sweep costs about the same for any number of shifts up to
+    that budget, so the cost of a solve scales with the number of passes,
+    and fewer brackets (smaller k) get more shifts each and need fewer
+    passes.  Eigenvalue i's bracket keeps count(lo) < i <= count(hi) by
+    construction, even where rounding makes counts non-monotone.  An
+    exactly-zero coupling starts a new block in the sweep.  The search runs
+    on the input divided by 2^e, 2^e the binary exponent of the largest
+    entry, and maps the result back exactly.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -92,10 +103,16 @@ def eigenvalues_tridiag(diag, offdiag) -> SpectrumResult:
         raise ValueError(f"offdiag must have length {n - 1}, got {offdiag.shape}")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
         raise ValueError("non-finite entry in tridiagonal input")
+    if k is None:
+        k = n
+    elif not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k <= n):
+        raise ValueError(f"k must be an integer with 0 <= k <= N = {n}, got {k!r}")
+    if n == 0:
+        return SpectrumResult(np.empty(0), 0.0)
     if n == 1:
-        return SpectrumResult(diag.copy(), 0.0)
-    k = _binary_exponent(diag, offdiag)
-    diag, offdiag = np.ldexp(diag, -k), np.ldexp(offdiag, -k)
+        return SpectrumResult(diag[:k].copy(), 0.0)
+    e = _binary_exponent(diag, offdiag)
+    diag, offdiag = np.ldexp(diag, -e), np.ldexp(offdiag, -e)
 
     # Gershgorin enclosure of the whole spectrum.
     radius = np.zeros(n)
@@ -107,8 +124,8 @@ def eigenvalues_tridiag(diag, offdiag) -> SpectrumResult:
     tol = 1e-12 * scale
 
     off_sq = offdiag * offdiag
-    lo = np.full(n, lo_all)
-    hi = np.full(n, hi_all)
+    lo = np.full(k, lo_all)
+    hi = np.full(k, hi_all)
     budget = max(n, _PASS_SHIFTS)
     while True:
         open_ = np.nonzero(hi - lo > 2.0 * tol)[0]
@@ -128,7 +145,8 @@ def eigenvalues_tridiag(diag, offdiag) -> SpectrumResult:
         # >= i (the old hi if none is), its new lo the point before that.
         # A running max makes each row sorted without moving that first
         # shift, so one searchsorted over the rows, offset by n + 1 per
-        # row, finds it even where rounding makes counts non-monotone.
+        # row (a count runs to n whatever k is), finds it even where
+        # rounding makes counts non-monotone.
         np.maximum.accumulate(cnt, axis=1, out=cnt)
         row = np.arange(pairs.shape[0])[:, None] * (n + 1)
         first = np.searchsorted((cnt + row).reshape(-1), open_ + 1 + row[owner, 0])
@@ -137,11 +155,11 @@ def eigenvalues_tridiag(diag, offdiag) -> SpectrumResult:
         lo[open_] = grid[owner, first]
         hi[open_] = grid[owner, first + 1]
     eig = 0.5 * (lo + hi)
-    return SpectrumResult(np.ldexp(np.sort(eig), k), float(np.ldexp(tol, k)))
+    return SpectrumResult(np.ldexp(np.sort(eig), e), float(np.ldexp(tol, e)))
 
 
 def _binary_exponent(*arrays) -> int:
-    """k such that the largest |entry| / 2^k lies in [0.5, 1) (0 if all are 0)."""
+    """e such that the largest |entry| / 2^e lies in [0.5, 1) (0 if all are 0)."""
     return int(np.frexp(max(float(np.max(np.abs(a))) for a in arrays))[1])
 
 
@@ -151,7 +169,7 @@ def eigenvalues_dense(matrix) -> SpectrumResult:
     Rotations are applied until the off-diagonal Frobenius norm falls below
     1e-13 times the matrix norm.  Input asymmetry beyond 1e-12 (relative to
     the largest entry) is rejected.  The sweeps run on the input divided by
-    2^k, as in :func:`eigenvalues_tridiag`.
+    2^e, as in :func:`eigenvalues_tridiag`.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -161,13 +179,15 @@ def eigenvalues_dense(matrix) -> SpectrumResult:
         raise ValueError(f"dense oracle capped at N <= {_DENSE_CAP}, got {n}")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entry in dense input")
+    if n == 0:
+        return SpectrumResult(np.empty(0), 0.0)
     scale = max(float(np.max(np.abs(a))), 1e-300)
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("input is not symmetric within 1e-12")
     if n == 1:
         return SpectrumResult(a[0:1, 0].copy(), 0.0)
-    k = _binary_exponent(a)
-    a = np.ldexp(a, -k)
+    e = _binary_exponent(a)
+    a = np.ldexp(a, -e)
     a = 0.5 * (a + a.T)
 
     norm = np.sqrt(np.sum(a * a))
@@ -203,4 +223,4 @@ def eigenvalues_dense(matrix) -> SpectrumResult:
         raise RuntimeError("Jacobi iteration failed to converge in 60 sweeps")
 
     bound = float(off) + 1e-15 * norm
-    return SpectrumResult(np.ldexp(np.sort(np.diag(a)), k), float(np.ldexp(bound, k)))
+    return SpectrumResult(np.ldexp(np.sort(np.diag(a)), e), float(np.ldexp(bound, e)))

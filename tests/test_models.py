@@ -187,6 +187,36 @@ class TestTruncation:
         with pytest.raises(TruncationError, match="increase n_trunc"):
             certify_truncation(base, n_report=3, max_dim=16)
 
+    @pytest.mark.parametrize("n_report", [-1, 1.5, "3", None, True])
+    def test_certify_rejects_bad_n_report(self, n_report):
+        base = SpinBosonParams(delta=1.0, lam=2.0, omega=1.0, branch=+1, n_trunc=8)
+        with pytest.raises(ValueError, match="n_report"):
+            certify_truncation(base, n_report=n_report)
+
+    @pytest.mark.parametrize("n_report", [0, 20])
+    @pytest.mark.parametrize("n_trunc", [None, 30])
+    @pytest.mark.parametrize("branch", [+1, -1])
+    @pytest.mark.parametrize("delta", [0.0, 2.5, 5.0])
+    def test_certify_matches_full_spectrum_doubling(self, delta, branch, n_trunc, n_report):
+        # n_report = 20 on the fig1 grid's chains (default truncation) and
+        # from a start that needs more doublings; the reference solves
+        # whole spectra
+        omega = 1.0
+        if n_trunc is None:
+            n_trunc = default_n_trunc(n_report, 4.0, omega)
+        base = SpinBosonParams(delta=delta, lam=4.0, omega=omega, branch=branch,
+                               n_trunc=n_trunc)
+        n_dim = max(n_trunc, n_report + 2)
+        while True:
+            h1 = build_spinboson(dataclasses.replace(base, n_trunc=n_dim))
+            h2 = build_spinboson(dataclasses.replace(base, n_trunc=2 * n_dim))
+            ev1 = eigenvalues_tridiag(h1.band(0), h1.band(1)).eigenvalues
+            ev2 = eigenvalues_tridiag(h2.band(0), h2.band(1)).eigenvalues
+            if np.max(np.abs(ev1[: n_report + 1] - ev2[: n_report + 1])) < 1e-8 * omega:
+                break
+            n_dim *= 2
+        assert certify_truncation(base, n_report).n_trunc == n_dim
+
 
 class TestDelta0Flow:
     PARAMS = SpinBosonParams(delta=0.0, lam=1.3, omega=0.9, branch=+1, n_trunc=8)

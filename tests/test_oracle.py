@@ -46,6 +46,21 @@ class TestTridiag:
         with pytest.raises(ValueError):
             eigenvalues_tridiag([np.nan, 0.0], [1.0])
 
+    def test_empty_input(self):
+        for res in (eigenvalues_tridiag([], []), eigenvalues_tridiag([], [], k=0),
+                    eigenvalues_dense(np.zeros((0, 0)))):
+            assert res.eigenvalues.shape == (0,)
+            assert res.residual_bound == 0.0
+
+    @pytest.mark.parametrize("k", [-1, 4, 1.5, 2.0, "2", True])
+    def test_rejects_bad_k(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            eigenvalues_tridiag([1.0, 2.0, 3.0], [1.0, 1.0], k=k)
+
+    def test_lowest_k_single_entry(self):
+        assert eigenvalues_tridiag([4.5], [], k=1).eigenvalues.tolist() == [4.5]
+        assert eigenvalues_tridiag([4.5], [], k=np.int64(0)).eigenvalues.tolist() == []
+
     @pytest.mark.parametrize("seed", range(5))
     def test_trace_invariants(self, seed):
         d, e = random_tridiag(seed, 30)
@@ -91,10 +106,22 @@ class TestTridiag:
                                  [exact[-1] + 1.0]))
         expect = np.concatenate(([0], gaps + 1, [n]))
         assert sturm_count(d, e * e, shifts).tolist() == expect.tolist()
+        # the lowest k alone, for every k: sorted, within both bounds of the
+        # full solve's first k, within one of eigvalsh; k = N is the full solve
+        for k in range(n + 1):
+            low = eigenvalues_tridiag(d, e, k=k)
+            assert low.eigenvalues.shape == (k,)
+            assert np.all(np.diff(low.eigenvalues) >= 0.0)
+            assert np.all(np.abs(low.eigenvalues - res.eigenvalues[:k])
+                          <= low.residual_bound + res.residual_bound)
+            assert np.all(np.abs(low.eigenvalues - exact[:k]) <= low.residual_bound + roundoff)
+        assert np.array_equal(low.eigenvalues, res.eigenvalues)
+        assert low.residual_bound == res.residual_bound
 
     def test_pass_budget(self, monkeypatch):
-        # each Sturm sweep carries at most max(N, _PASS_SHIFTS) shifts, and
-        # the fig1 chain at N = 400 needs at most 20 sweeps (bisection: 39)
+        # each Sturm sweep carries at most max(N, _PASS_SHIFTS) shifts; the
+        # fig1 chain at N = 400 needs at most 20 sweeps (bisection: 39) for
+        # all levels and at most 7 for the lowest 21, which certification asks for
         shifts_per_call = []
 
         def counting(diag, offdiag_sq, shifts):
@@ -107,11 +134,11 @@ class TestTridiag:
         lipkin, _ = models.build_lipkin_blocks(
             models.LipkinParams(xi0=1.0, v0=0.5 / 4000, two_j=2000))
         assert lipkin.dim == 1001
-        for h, max_passes in ((chain, 20), (lipkin, None)):
+        for h, k, max_passes in ((chain, None, 20), (chain, 21, 7), (lipkin, None, None)):
             shifts_per_call.clear()
-            ev = eigenvalues_tridiag(h.band(0), h.band(1)).eigenvalues
-            np.testing.assert_allclose(ev, np.linalg.eigvalsh(h.to_dense()),
-                                       atol=1e-10 * np.max(np.abs(ev)))
+            ev = eigenvalues_tridiag(h.band(0), h.band(1), k=k).eigenvalues
+            exact = np.linalg.eigvalsh(h.to_dense())[:k]
+            np.testing.assert_allclose(ev, exact, atol=1e-10 * np.max(np.abs(exact)))
             assert max(shifts_per_call) <= max(h.dim, oracle._PASS_SHIFTS)
             if max_passes is not None:
                 assert len(shifts_per_call) <= max_passes
@@ -134,9 +161,11 @@ class TestExtremeScale:
         seed=st.integers(0, 2**32 - 1),
         j=st.integers(-900, 900),
         zeros=st.floats(0.0, 0.7),
+        k=st.integers(0, 8),
     )
-    def test_power_of_two_covariance(self, n, seed, j, zeros):
+    def test_power_of_two_covariance(self, n, seed, j, zeros, k):
         # |j| up to 900 takes entry squares out of the float range
+        k = min(k, n)
         rng = np.random.default_rng(seed)
         d = rng.uniform(-1, 1, n)
         e = np.where(rng.uniform(size=n - 1) < zeros, 0.0, rng.uniform(-1, 1, n - 1))
@@ -144,6 +173,8 @@ class TestExtremeScale:
         pairs = [
             (eigenvalues_tridiag(d, e),
              eigenvalues_tridiag(np.ldexp(d, j), np.ldexp(e, j))),
+            (eigenvalues_tridiag(d, e, k=k),
+             eigenvalues_tridiag(np.ldexp(d, j), np.ldexp(e, j), k=k)),
             (eigenvalues_dense(dense), eigenvalues_dense(np.ldexp(dense, j))),
         ]
         for res, res2 in pairs:
