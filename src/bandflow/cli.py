@@ -7,10 +7,13 @@ that round-trips to the same float, so emitted files re-parse bit-exactly.
 
 Exit codes: 0 success/converged; 2 flow not converged, either because it
 reached ell_max or because it stalled (the step size underflowed; a
-one-line message goes to stderr); 3 input error, reported as one line on
-stderr; 4 truncation certification failure.  The --out and --trace-out
-files are opened (and truncated) before any work runs, so an unwritable
-path exits 3 at once.
+one-line message goes to stderr); 3 input or output error, reported as one
+line on stderr; 4 truncation certification failure.  The --out and
+--trace-out files are opened (and truncated) before any work runs, so an
+unwritable path exits 3 at once.  Output that cannot be written later, to a
+full device for one, also exits 3 with one line on stderr; a reader that
+closes standard output early (``| head``) ends the run with 3 and no
+message.
 """
 
 from __future__ import annotations
@@ -466,17 +469,35 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "branch", None) is not None:
         args.branch = +1 if args.branch == "+" else -1
-    with contextlib.ExitStack() as stack:
-        try:
-            _open_outputs(args, stack)
-        except OSError as exc:
-            print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-            return EXIT_INPUT
-        try:
-            return args.func(args)
-        except StiffFlowError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_CONVERGED
+    try:
+        with contextlib.ExitStack() as stack:
+            try:
+                _open_outputs(args, stack)
+            except OSError as exc:
+                print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+                return EXIT_INPUT
+            try:
+                status = args.func(args)
+            except StiffFlowError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_NOT_CONVERGED
+        sys.stdout.flush()  # a closed or full stdout fails here, not at exit
+        return status
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        _detach_stdout()
+        return EXIT_INPUT
+    except OSError as exc:  # a full device, say
+        _detach_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+
+
+def _detach_stdout() -> None:
+    """Point file descriptor 1 at os.devnull: a failed write leaves its data
+    in the buffer, and the interpreter's flush at exit would fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def entry() -> None:  # console-script hook

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,3 +368,37 @@ class TestExitCodes:
         assert captured.err == "error: flow integration stalled at ell=0.5 " \
             "(frob_sq=2, offdiag_sq=0.001)\n"
         assert "final_diagonal" not in captured.out
+
+
+class TestUnwritableStdout:
+    """A closed or full standard output ends the run with exit 3 and no traceback."""
+
+    ARGV = ["spectrum", "--model", "spinboson", "--delta", "2", "--lambda", "4",
+            "--levels", "0-20"]
+
+    def _run(self, stdout, unbuffered):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:  # the error then comes from a write, else from the final flush
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen([sys.executable, "-m", "bandflow", *self.ARGV], env=env,
+                                stdout=stdout, stderr=subprocess.PIPE)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe(self, unbuffered):
+        proc = self._run(subprocess.PIPE, unbuffered)
+        proc.stdout.close()  # the reader is gone before the first row
+        _out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_device(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = self._run(full, unbuffered)
+            _out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert err.decode() == "error: [Errno 28] No space left on device\n"

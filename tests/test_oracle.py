@@ -121,7 +121,8 @@ class TestTridiag:
     def test_pass_budget(self, monkeypatch):
         # each Sturm sweep carries at most max(N, _PASS_SHIFTS) shifts; the
         # fig1 chain at N = 400 needs at most 20 sweeps (bisection: 39) for
-        # all levels and at most 7 for the lowest 21, which certification asks for
+        # all levels and at most 5 for the lowest 21, which certification asks
+        # for: their brackets start below the Courant-Fischer ceiling
         shifts_per_call = []
 
         def counting(diag, offdiag_sq, shifts):
@@ -134,7 +135,7 @@ class TestTridiag:
         lipkin, _ = models.build_lipkin_blocks(
             models.LipkinParams(xi0=1.0, v0=0.5 / 4000, two_j=2000))
         assert lipkin.dim == 1001
-        for h, k, max_passes in ((chain, None, 20), (chain, 21, 7), (lipkin, None, None)):
+        for h, k, max_passes in ((chain, None, 20), (chain, 21, 5), (lipkin, None, None)):
             shifts_per_call.clear()
             ev = eigenvalues_tridiag(h.band(0), h.band(1), k=k).eigenvalues
             exact = np.linalg.eigvalsh(h.to_dense())[:k]
@@ -142,6 +143,81 @@ class TestTridiag:
             assert max(shifts_per_call) <= max(h.dim, oracle._PASS_SHIFTS)
             if max_passes is not None:
                 assert len(shifts_per_call) <= max_passes
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lowest_k_ceiling_bounds_eigenvalue(self, seed):
+        # Courant-Fischer: the top Gershgorin edge of the principal submatrix
+        # on the k smallest diagonal entries is at least the k-th eigenvalue
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        d = rng.integers(-3, 4, n).astype(float) if seed % 2 else rng.uniform(-1, 1, n)
+        d += np.arange(n) * rng.choice([0.0, 0.3, 2.0])
+        e = np.where(rng.uniform(size=n - 1) < 0.2, 0.0, rng.uniform(-1, 1, n - 1))
+        exact = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        slack = 8 * EPS * np.max(np.abs(exact))  # eigvalsh's own rounding
+        for k in range(1, n):
+            assert oracle._lowest_k_ceiling(d, e, k) >= exact[k - 1] - slack
+
+
+def reference_sturm_count(diag, offdiag_sq, shifts):
+    """The plain pivot recurrence over every row, with no early exit."""
+    d = diag[0] - shifts
+    count = (d < 0.0).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a, b_sq in zip(diag[1:], offdiag_sq):
+            d = a - shifts if b_sq == 0.0 else (a - shifts) - b_sq / d
+            count += d < 0.0
+    return count
+
+
+class TestSturmEarlyExit:
+    def test_floor_alone_does_not_stop(self):
+        # row 1's floor 0.1 lies above the shift 0, yet the pivot 0.6 of row
+        # 0 is below |b| = 1 and sends row 1's pivot to 1.1 - 1 / 0.6 < 0: the
+        # sweep may stop only once every pivot is negative or at least |b|
+        d, off_sq, shifts = np.array([0.6, 1.1]), np.array([1.0]), np.array([0.0])
+        assert reference_sturm_count(d, off_sq, shifts).tolist() == [1]
+        assert sturm_count(d, off_sq, shifts).tolist() == [1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 80),
+        slope=st.sampled_from([0.0, 0.5, 3.0]),
+        j=st.one_of(st.just(0), st.integers(-1000, 1000)),
+        where=st.sampled_from(["below", "straddle", "above"]),
+    )
+    def test_equals_full_sweep(self, data, n, slope, j, where):
+        # repeated levels, exact-zero couplings, a diagonal that rises (as
+        # fig1's chains do, so the sweep can stop early) and scales 2^j at
+        # which b^2 underflows or overflows
+        level = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+        d = np.array(data.draw(st.lists(level, min_size=n, max_size=n))) + slope * np.arange(n)
+        e = np.array(data.draw(st.lists(st.one_of(st.just(0.0), level), min_size=n - 1,
+                                        max_size=n - 1)))
+        d, e = np.ldexp(d, j), np.ldexp(e, j)
+        radius = np.zeros(n)
+        radius[:-1] += np.abs(e)
+        radius[1:] += np.abs(e)
+        floors = d - radius
+        width = max(float(np.max(d + radius) - np.min(floors)), float(np.ldexp(1.0, j)))
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)))
+        if where == "below":
+            shifts = np.min(floors) - (u + 2.0**-20) * width
+        elif where == "above":
+            shifts = np.max(floors) + (u + 2.0**-20) * width
+        else:  # between the floors, floors and diagonal entries included
+            step = max(1, n // 5)
+            shifts = np.concatenate((np.min(floors) + u * (np.max(floors) - np.min(floors)),
+                                     floors[::step], d[::step]))
+        with np.errstate(over="ignore", under="ignore"):
+            off_sq = e * e
+        # b^2 = inf is outside sturm_count's contract and can make NaN pivots
+        # (inf / inf); the counts must still agree
+        with np.errstate(invalid="ignore"):
+            got = sturm_count(d, off_sq, shifts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_sturm_count(d, off_sq, shifts))
 
 
 class TestExtremeScale:
