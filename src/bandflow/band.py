@@ -247,3 +247,5 @@ def read_matrix(f: IO[str]) -> BandedSymmetricMatrix:
         return make_banded(dim, bandwidth, entries)
     except ValueError as exc:
         raise ValueError(f"invalid matrix data: {exc}") from None
+    except MemoryError:  # N and M too large for this machine: bad input too
+        raise ValueError(f"line 1: no memory for N={dim}, M={bandwidth}") from None

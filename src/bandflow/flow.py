@@ -10,7 +10,7 @@ Every matrix flows in one layout, the (M+1) x N row array of
 followed by k zeros, and the integrator's state is that array flattened, so
 band k starts at offset k*N.  A block [a, b) is the column slice [:, a:b],
 already zero-padded once nothing couples across b; deflation zeroes the
-crossing slots and hands each block its slice.
+crossing slots, writes the rows and queues only the pieces that need work.
 Wegner's classic generator [H_d, H] is also provided as the contrast case
 that fills the band in.  Both generators run through the same driver: a
 Wegner flow is a banded flow at full bandwidth M = N - 1, so its results
@@ -277,6 +277,14 @@ def wegner_rhs(h_dense: np.ndarray) -> np.ndarray:
 # -- integration ---------------------------------------------------------------
 
 
+def _band_slots(n: int, rows: int):
+    """The slots of a flattened rows x n row array inside the matrix, and
+    the (i, j) of each: slot k*n + i holds h_{i,i+k}."""
+    k, i = np.divmod(np.arange(rows * n), n)
+    slots = np.flatnonzero(i + k < n)
+    return slots, i[slots], i[slots] + k[slots]
+
+
 def _wegner_band_rhs(n: int):
     """Wegner's dH/dl on the flattened N x N row array of a full-band matrix.
 
@@ -284,9 +292,7 @@ def _wegner_band_rhs(n: int):
     :func:`wegner_rhs` and gathers its upper triangle back, so the state
     stays exactly symmetric and its padding zero.
     """
-    k, i = np.divmod(np.arange(n * n), n)  # slot k*n + i holds h_{i,i+k}
-    slots = np.flatnonzero(i + k < n)
-    rows, cols = i[slots], i[slots] + k[slots]
+    slots, rows, cols = _band_slots(n, n)
     h = np.zeros((n, n))
 
     def rhs(y: np.ndarray) -> np.ndarray:
@@ -507,8 +513,10 @@ class _BandedFlow:
     undeflated system.
 
     Each block's state is its row array flattened; the assembled final and
-    snapshot matrices are (M+1) x N row arrays into which every block
-    writes its column slice.
+    snapshot matrices are (M+1) x N row arrays.  A block writes its column
+    slice into final and every later snapshot once, where it stops; one
+    that deflates does so before it queues its pieces, and only pieces of
+    2 or more rows that are not converged are queued.
 
     A jump spans dl = ln(rel_tol / u) / s for the block's Gershgorin spread
     s (u the unit roundoff), so cond(e^{-dl H}) <= rel_tol / u and the jump
@@ -571,17 +579,29 @@ class _BandedFlow:
         target[:rows, start : start + nb] = block
         target[rows:, start : start + nb] = 0.0
 
-    @staticmethod
-    def _push_blocks(tasks: deque, rows: np.ndarray, start: int, cuts, ell: float,
+    def _finish(self, start: int, rows: np.ndarray, ell: float, converged: bool) -> None:
+        """Write the rows of a block that stops at ell into final and every later snapshot."""
+        for s, snap in self.snaps.items():
+            if s > ell:
+                self._write(snap, start, rows)
+        self._write(self.final, start, rows)
+        self.ell_final = max(self.ell_final, ell)
+        self.converged = self.converged and converged
+
+    def _push_blocks(self, tasks: deque, rows: np.ndarray, start: int, cuts, ell: float,
                      h: float | None, rate: float = _STEP_RATE) -> None:
-        """Queue the blocks between cuts; nothing may couple across a cut."""
+        """Queue the blocks between cuts that have 2 or more rows and are not
+        converged; nothing may couple across a cut."""
         edges = [0, *cuts, rows.shape[1]]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            tasks.append(_Task(start + lo, rows[: hi - lo, lo:hi].copy(), ell, h, rate))
+            if hi - lo > 1:
+                block = rows[: hi - lo, lo:hi].copy()
+                if _off_sq(block.ravel(), hi - lo) > self.conv_off_sq:
+                    tasks.append(_Task(start + lo, block, ell, h, rate))
 
     def _split(self, tasks: deque, start: int, e: np.ndarray, cuts, ell: float,
                h: float | None, rate: float) -> None:
-        """Deflate the block with rows e at cuts and queue its pieces."""
+        """Deflate the block with rows e at cuts, write it and queue its pieces."""
         # Zero every coupling that crosses a cut: slot (k, c) does when
         # c + k reaches the end of the sub-block holding c.
         edges = [0, *cuts, e.shape[1]]
@@ -593,6 +613,7 @@ class _BandedFlow:
         )
         e[crossing] = 0.0
         self.n_deflations += len(cuts)
+        self._finish(start, e, ell, True)  # the queued pieces overwrite theirs
         self._push_blocks(tasks, e, start, cuts, ell, h, rate)
 
     def _deflation_cuts(self, e: np.ndarray) -> list[int]:
@@ -638,7 +659,8 @@ class _BandedFlow:
     def run(self) -> FlowResult:
         tasks: deque = deque()
         # Exactly-zero couplings split the input up front; the stencil never
-        # regenerates them, so each block flows independently.
+        # regenerates them, so each block flows independently, and a block
+        # with no work already stands in final and the snapshots.
         cuts = [] if self.wegner else [b.start for b in split_irreducible(self.h0)[1:]]
         self._push_blocks(tasks, self.h0.rows(), 0, cuts, 0.0, None)
         while tasks:
@@ -656,27 +678,12 @@ class _BandedFlow:
         )
 
     def _run_task(self, task: _Task, tasks: deque) -> None:
+        # A queued block has 2 or more rows and is not converged.  Snapshots
+        # at or before its start ell were already written (initialization
+        # covers ell <= 0, the block it split from covers the split point).
         cfg = self.config
         mb, nb = task.rows.shape[0] - 1, task.rows.shape[1]
-        # Snapshots at or before this task's start ell were already written
-        # (initialization covers ell <= 0, the parent covers a split point).
-        pending = [s for s in self.snap_ells if s > task.ell]
-
-        def finish(ell: float, y: np.ndarray, converged: bool) -> None:
-            block = y.reshape(mb + 1, nb)
-            for s in pending:
-                self._write(self.snaps[s], task.start, block)
-            self._write(self.final, task.start, block)
-            self.ell_final = max(self.ell_final, ell)
-            if not converged:
-                self.converged = False
-
         y0 = task.rows.ravel()
-        # One entry, or converged on arrival (common for post-split
-        # fragments): no stepper.
-        if nb == 1 or _off_sq(y0, nb) <= self.conv_off_sq:
-            finish(task.ell, y0, True)
-            return
 
         def frob(y: np.ndarray) -> float:
             return math.sqrt(float(np.dot(y[:nb], y[:nb])) + _off_sq(y, nb))
@@ -727,42 +734,38 @@ class _BandedFlow:
                 end = self.ell_max
                 y = state(end)
             self.n_exact += 1
-            for s in pending:  # ascending, so drifts are tracked in ell order
-                if s <= end:
+            for s in self.snap_ells:  # ascending, so drifts are tracked in ell order
+                if task.ell < s <= end:
                     snap = state(s)
                     track(snap)
                     self._write(self.snaps[s], task.start, snap.reshape(2, 2))
-            pending = [s for s in pending if s > end]
             track(y)
             close_run(y)
-            if _off_sq(y, 2) > self.conv_off_sq and self._deflation_cuts(y.reshape(2, 2)):
-                self.report.frobenius_drift += 2.0 * float(y[2]) ** 2 / max(self.frob0_sq, 1e-300)
-                y[2] = 0.0
-                self.n_deflations += 1
-            finish(end, y, _off_sq(y, 2) <= self.conv_off_sq)
+            e, converged = y.reshape(2, 2), _off_sq(y, 2) <= self.conv_off_sq
+            cuts = [] if converged else self._deflation_cuts(e)
+            if cuts:
+                self._split(tasks, task.start, e, cuts, end, task.h0, task.rate)
+            else:
+                self._finish(task.start, e, end, converged)
             return
 
         span = math.log(max(cfg.rel_tol / _UNIT_ROUNDOFF, math.e))
-        k, i = np.divmod(np.arange(y0.size), nb)
-        band = np.flatnonzero(i + k < nb)  # slot k*nb + i holds h_{i,i+k}
-
-        def dense(y: np.ndarray, slots, ii, jj) -> np.ndarray:
-            h = np.zeros((nb, nb))
-            h[ii, jj] = h[jj, ii] = y[slots]
-            return h
+        band, bi, bj = _band_slots(nb, mb + 1)
 
         def flow_slots(y: np.ndarray):
             """The slots that a run of jumps from y keeps, those its exact
             flow can fill, and the dense entries that the run drops."""
-            ii, jj = i[band], i[band] + k[band]
-            dropped = ~_flow_pattern(dense(y, band, ii, jj))
-            kept = ~dropped[ii, jj]
-            return band[kept], ii[kept], jj[kept], dropped
+            h = np.zeros((nb, nb))
+            h[bi, bj] = h[bj, bi] = y[band]
+            dropped = ~_flow_pattern(h)
+            kept = ~dropped[bi, bj]
+            return band[kept], bi[kept], bj[kept], dropped
 
         def jump(y: np.ndarray, ell: float, t_cap: float) -> tuple[float, np.ndarray]:
             """Land one jump from state y at ell, at t_cap or short of it."""
             slots, ii, jj, dropped = pattern
-            h = dense(y, slots, ii, jj)
+            h = np.zeros((nb, nb))
+            h[ii, jj] = h[jj, ii] = y[slots]
             e = y.reshape(mb + 1, nb)
             radii = _gershgorin_radii(e)
             lo, hi = float(np.min(e[0] - radii)), float(np.max(e[0] + radii))
@@ -843,7 +846,7 @@ class _BandedFlow:
             if stepper is not None and (_off_sq(y, nb) <= self.conv_off_sq
                                         or ell >= self.ell_max):
                 break
-            t_cap = min([s for s in pending if s > ell] + [self.ell_max])
+            t_cap = min([s for s in self.snap_ells if s > ell] + [self.ell_max])
             try:
                 if stepper is not None:
                     stepper.step(t_cap)
@@ -869,9 +872,8 @@ class _BandedFlow:
             except StepSizeUnderflow as exc:
                 raise StiffFlowError(ell, frob(y) ** 2, _off_sq(y, nb)) from exc
             track(y)
-            if ell in pending:
+            if ell in self.snaps:
                 self._write(self.snaps[ell], task.start, y.reshape(mb + 1, nb))
-                pending = [s for s in pending if s > ell]
 
         if cuts and stepper is not None:
             h, rate = stepper.h, stepper.h * _coupling_rate(e)
@@ -879,7 +881,7 @@ class _BandedFlow:
         if cuts:
             self._split(tasks, task.start, e, cuts, ell, h, rate)
         else:
-            finish(ell, y, _off_sq(y, nb) <= self.conv_off_sq)
+            self._finish(task.start, e, ell, _off_sq(y, nb) <= self.conv_off_sq)
 
 
 def _ldexp(x, e: int):

@@ -196,13 +196,10 @@ class Dop853:
         rel_tol: float = 1e-10,
         abs_tol: float = 1e-12,
         scale: Callable[[np.ndarray], float] | None = None,
-        max_step: float = np.inf,
         first_step: float | None = None,
     ):
         if not (rel_tol > 0 and abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not max_step > 0:
-            raise ValueError("max_step must be positive")
         self.fun = fun
         self.t = float(t0)
         self.y = np.asarray(y0, dtype=float).copy()
@@ -211,7 +208,6 @@ class Dop853:
         self._scale = scale if scale is not None else lambda y: float(np.linalg.norm(y))
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
-        self.max_step = max_step
         self._k = np.empty((_STAGES + 1, self.y.size))
         self._k[_ROW[0]] = fun(self.t, self.y)  # the FSAL carry
         self._yi = np.empty(self.y.size)  # stage arguments
@@ -220,7 +216,7 @@ class Dop853:
         if first_step is not None:
             if not first_step > 0.0:
                 raise ValueError("first_step must be positive")
-            self.h = float(min(first_step, max_step))
+            self.h = float(first_step)
         else:
             self.h = self._initial_step()
         self.n_accepted = 0
@@ -236,20 +232,19 @@ class Dop853:
         d0 = float(np.linalg.norm(self.y))
         d1 = float(np.linalg.norm(k1))
         h0 = 1e-6 if d1 <= 1e-300 else 0.01 * max(d0, 1.0) / d1
-        h0 = min(h0, self.max_step)
         y1 = self.y + h0 * k1
         f1 = np.asarray(self.fun(self.t + h0, y1), dtype=float)
         d2 = float(np.linalg.norm(f1 - k1)) / h0
         rate = max(d1, d2, 1e-300)
         h1 = (tol / rate) ** 0.125 if tol > 0 else h0
-        return float(min(100.0 * h0, h1, self.max_step))
+        return float(min(100.0 * h0, h1))
 
     def step(self, t_cap: float) -> None:
         """Advance one accepted step, never beyond ``t_cap``."""
         if t_cap <= self.t:
             raise ValueError("t_cap must exceed current time")
         while True:
-            h = min(self.h, self.max_step)
+            h = self.h
             if not h > 16.0 * np.finfo(float).eps * max(abs(self.t), 1.0):  # NaN too
                 raise StepSizeUnderflow(
                     self.t, f"step size underflow at t={self.t:.6g} (h={h:.3g})"

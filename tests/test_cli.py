@@ -274,6 +274,14 @@ class TestUsageErrors:
         assert info.value.code == 3
 
 
+def subprocess_env():
+    """The environment for running this checkout's bandflow in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 class TestExitCodes:
     """Bad input exits 3 with one line on stderr; a stalled flow exits 2."""
 
@@ -369,6 +377,29 @@ class TestExitCodes:
             "(frob_sq=2, offdiag_sq=0.001)\n"
         assert "final_diagonal" not in captured.out
 
+    @pytest.mark.parametrize("command", ["flow", "compare-generators"])
+    def test_oversized_header(self, tmp_path, command):
+        # the band storage of N = 1e9 takes 8 GB: under a 2 GiB address-space
+        # limit its allocation fails, which is an input error, not a traceback
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "huge.txt"
+        path.write_text("bandmat 1000000000 0\n")
+
+        def limit_address_space():  # runs in the child, before bandflow starts
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            cap = 2**31 if hard == resource.RLIM_INFINITY else min(2**31, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+        env = subprocess_env()
+        env["OPENBLAS_NUM_THREADS"] = "1"  # thread stacks count against the limit
+        proc = subprocess.run([sys.executable, "-m", "bandflow", command, str(path)],
+                              env=env, preexec_fn=limit_address_space,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 3
+        err = proc.stderr.decode()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "N=1000000000, M=0" in err
+
 
 class TestUnwritableStdout:
     """A closed or full standard output ends the run with exit 3 and no traceback."""
@@ -377,9 +408,7 @@ class TestUnwritableStdout:
             "--levels", "0-20"]
 
     def _run(self, stdout, unbuffered):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        env = subprocess_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:  # the error then comes from a write, else from the final flush
             env["PYTHONUNBUFFERED"] = "1"

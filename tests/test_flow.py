@@ -21,7 +21,7 @@ from bandflow.flow import (
     wegner_eta,
     wegner_rhs,
 )
-from bandflow.models import SpinBosonParams, build_spinboson
+from bandflow.models import LipkinParams, SpinBosonParams, build_lipkin_blocks, build_spinboson
 from bandflow.ode import Dop853, StepSizeUnderflow
 from bandflow.oracle import eigenvalues_dense, eigenvalues_tridiag
 
@@ -64,10 +64,11 @@ class TestTableau:
 
     def test_observed_global_order(self):
         # y' = -y over [0, 8] on a fixed grid: loose tolerances never reject,
-        # max_step and the caps pin every step to the grid spacing
+        # and a first step of the grid spacing, which clipped steps never
+        # shrink, runs into every cap, so each step spans the grid spacing
         def global_error(spacing):
             stepper = Dop853(lambda t, y: -y, 0.0, np.array([1.0]), rel_tol=1e-3,
-                             abs_tol=1e-3, max_step=spacing, first_step=spacing)
+                             abs_tol=1e-3, first_step=spacing)
             n = round(8.0 / spacing)
             for j in range(1, n + 1):
                 stepper.step(j * spacing)
@@ -157,8 +158,7 @@ class TestStepper:
 
     def test_tolerance_validation(self):
         for kwargs in ({"rel_tol": 0.0}, {"rel_tol": math.nan}, {"abs_tol": -1.0},
-                       {"abs_tol": math.nan}, {"max_step": 0.0}, {"max_step": -1.0},
-                       {"max_step": math.nan}, {"first_step": 0.0}, {"first_step": math.nan},
+                       {"abs_tol": math.nan}, {"first_step": 0.0}, {"first_step": math.nan},
                        {"y0": np.array([math.nan])}, {"y0": np.array([1.0, math.inf])}):
             args = {"y0": np.array([1.0])} | kwargs
             with pytest.raises(ValueError):
@@ -464,6 +464,25 @@ class TestScaleAndStats:
         assert res.ell_final == 1.0
         assert np.array_equal(res.final.to_dense(), h.to_dense())
 
+    def test_queue_holds_only_blocks_with_work(self, monkeypatch):
+        # a converged Lipkin block deflates into single rows, which stand in
+        # final at once: every block that is queued has 2 or more rows and
+        # is not converged on arrival
+        queued = []
+        run_task = flow._BandedFlow._run_task
+
+        def spy(self, task, tasks):
+            nb = task.rows.shape[1]
+            queued.append((nb, flow._off_sq(task.rows.ravel(), nb) / self.conv_off_sq))
+            return run_task(self, task, tasks)
+
+        monkeypatch.setattr(flow._BandedFlow, "_run_task", spy)
+        for h in build_lipkin_blocks(LipkinParams(xi0=1.0, v0=0.7 / 800.0, two_j=400)):
+            queued.clear()
+            res = integrate_flow(h)
+            assert res.converged and res.stats.n_deflations == h.dim - 1
+            assert queued and all(nb >= 2 and ratio > 1.0 for nb, ratio in queued)
+
     @pytest.mark.parametrize("scale,ells", [
         (1e10, (1e300, 1.7e308)),  # both saturate at the top of the float range
         (1e-300, (1e-10, 1e-10 * (1 + 4e-16))),  # both round to one subnormal
@@ -627,12 +646,12 @@ def stepped_pair(h, ells):
         flow._banded_rhs_inplace(y, out, 2, 1)
         return out
 
-    stepper = Dop853(rhs, 0.0, h.rows().ravel(), rel_tol=1e-13, abs_tol=1e-300,
-                     max_step=0.1 / math.hypot(a - c, 2.0 * b))
+    h_max = 0.1 / math.hypot(a - c, 2.0 * b)
+    stepper = Dop853(rhs, 0.0, h.rows().ravel(), rel_tol=1e-13, abs_tol=1e-300)
     states = []
     for ell in ells:
         while stepper.t < ell:
-            stepper.step(ell)
+            stepper.step(min(ell, stepper.t + h_max))
         states.append(stepper.y.reshape(2, 2).copy())
     return states
 
@@ -841,11 +860,18 @@ class TestFlowProperties:
     # A pair deflated at ell_max = 2, whose snapshot there showed the cut.
     @example(h=make_banded(2, 1, {(0, 0): -3.0, (1, 1): 5.0, (0, 1): 0.7}))
     def test_sign_generator(self, h):
-        ells = (0.5, 2.0)
+        ells = (0.5, 2.0, 1e6)  # the last far past convergence
         res = integrate_flow(h, FlowConfig(snapshot_ells=ells))
         assert res.converged
         for mat in [res.final] + [snap for _ell, snap in res.snapshots]:
             assert (mat.dim, mat.bandwidth) == (h.dim, h.bandwidth)
+        # every block stops by ell_final and writes its rows once, into final
+        # and every later snapshot (a snapshot at ell_final itself shows the
+        # flow before a cut made there)
+        past = [snap for ell, snap in res.snapshots if ell > res.ell_final]
+        assert past or res.ell_final >= 1e6
+        for snap in past:
+            assert np.array_equal(snap.rows(), res.final.rows())
         ev = eigenvalues_dense(h.to_dense()).eigenvalues
         tol = 1e-8 * max(np.max(np.abs(ev)), 1e-300)
         d = res.final.diagonal()
