@@ -169,7 +169,13 @@ class ConservationReport:
 
 @dataclass(frozen=True)
 class FlowStats:
-    """Work done by one flow.  Counts only, so equal inputs give equal stats.
+    """Work done by one flow, in counts only.
+
+    Equal inputs give equal stats, and bit-identical results, only at a
+    fixed BLAS thread count: the stepper's stage combinations are BLAS
+    gemv and gemm products, whose summation order can follow the number of
+    threads.  For example, the benchmark's lipkin-chain blocks at seed 0
+    build 26 steppers with one OpenBLAS thread and 28 with two.
 
     n_tasks counts steppers built: one per block that starts by stepping,
     and one more each time a sign-flow block switches from jumps to steps.
@@ -223,24 +229,35 @@ def _banded_rhs_inplace(y: np.ndarray, out: np.ndarray, n: int, m: int) -> None:
     """dH/dl = [eta, H] for the sign generator, as a band-array stencil.
 
     y and out are flattened (M+1) x N row arrays: band k starts at offset
-    k*n, and out must arrive zeroed.  For n < m the commutator reduces to
+    k*n.  For n < m the commutator reduces to
         (h_nn - h_mm) h_nm + 2 sum_{k<n} h_nk h_km - 2 sum_{k>m} h_nk h_km
     and the diagonal to 2 (sum_{k<n} - sum_{k>n}) h_nk^2; terms with
     |n - m| > M vanish identically, so the band profile is preserved
-    exactly rather than to tolerance.  Only the n-k valid slots of band k
-    are written, so the padding of out stays zero.
+    exactly rather than to tolerance.  Every one of the n-k valid slots of
+    band k is overwritten and no padding slot is written, so out need not
+    arrive zeroed, and its padding keeps whatever it held.  The first term
+    of each slot is assigned and later terms are added in the order a
+    zeroed out would sum them, so the result is the same to the bit.
     """
     e0 = y[:n]
     r0 = out[:n]
+    if m == 0:
+        r0[:] = 0.0
     for j in range(1, m + 1):
         ej2 = y[j * n : (j + 1) * n - j] ** 2
         ej2 += ej2
-        r0[j:] += ej2
-        r0[: n - j] -= ej2
+        if j == 1:  # 0 + a - b, with the signs of zeros that sum keeps
+            np.subtract(ej2[:-1], ej2[1:], out=r0[1 : n - 1])
+            r0[0] = 0.0 - ej2[0]
+            r0[n - 1] = ej2[n - 2]
+        else:
+            r0[j:] += ej2
+            r0[: n - j] -= ej2
     for d in range(1, m + 1):
         od = d * n
         rd = out[od : od + n - d]
-        np.multiply(e0[: n - d] - e0[d:], y[od : od + n - d], out=rd)
+        np.subtract(e0[: n - d], e0[d:], out=rd)
+        rd *= y[od : od + n - d]
         for i in range(1, m - d + 1):
             w = n - d - i  # valid stencil width
             oi, odi = i * n, (d + i) * n
@@ -289,17 +306,16 @@ def _wegner_band_rhs(n: int):
     """Wegner's dH/dl on the flattened N x N row array of a full-band matrix.
 
     Scatters the state into a dense symmetric matrix, evaluates
-    :func:`wegner_rhs` and gathers its upper triangle back, so the state
-    stays exactly symmetric and its padding zero.
+    :func:`wegner_rhs` and gathers its upper triangle back into out, so the
+    state stays exactly symmetric.  Only the matrix's slots of out are
+    written, so its padding keeps whatever it held.
     """
     slots, rows, cols = _band_slots(n, n)
     h = np.zeros((n, n))
 
-    def rhs(y: np.ndarray) -> np.ndarray:
+    def rhs(y: np.ndarray, out: np.ndarray) -> None:
         h[rows, cols] = h[cols, rows] = y[slots]
-        out = np.zeros_like(y)
         out[slots] = wegner_rhs(h)[rows, cols]
-        return out
 
     return rhs
 
@@ -684,9 +700,19 @@ class _BandedFlow:
         cfg = self.config
         mb, nb = task.rows.shape[0] - 1, task.rows.shape[1]
         y0 = task.rows.ravel()
+        # The state last measured, its diagonal's and its off-diagonals'
+        # squared norms: the stepper's scale, track and the convergence
+        # check all read an accepted state, so its norms are taken once.
+        norms = [None, 0.0, 0.0]
+
+        def off_sq(y: np.ndarray) -> float:
+            if norms[0] is not y:
+                norms[:] = y, float(np.dot(y[:nb], y[:nb])), _off_sq(y, nb)
+            return norms[2]
 
         def frob(y: np.ndarray) -> float:
-            return math.sqrt(float(np.dot(y[:nb], y[:nb])) + _off_sq(y, nb))
+            off = off_sq(y)
+            return math.sqrt(norms[1] + off)
 
         trace0 = float(y0[:nb].sum())
         frob0_sq_b = frob(y0) ** 2
@@ -727,7 +753,7 @@ class _BandedFlow:
             nudge = math.ulp(end)
             while end < cap:  # step past rounding at the crossing
                 y = state(end)
-                if _off_sq(y, 2) <= self.conv_off_sq:
+                if off_sq(y) <= self.conv_off_sq:
                     break
                 end, nudge = end + nudge, 2.0 * nudge
             else:  # cut short: evaluate at ell_max, where a deflation may fire
@@ -741,7 +767,7 @@ class _BandedFlow:
                     self._write(self.snaps[s], task.start, snap.reshape(2, 2))
             track(y)
             close_run(y)
-            e, converged = y.reshape(2, 2), _off_sq(y, 2) <= self.conv_off_sq
+            e, converged = y.reshape(2, 2), off_sq(y) <= self.conv_off_sq
             cuts = [] if converged else self._deflation_cuts(e)
             if cuts:
                 self._split(tasks, task.start, e, cuts, end, task.h0, task.rate)
@@ -790,24 +816,22 @@ class _BandedFlow:
 
         def check(y: np.ndarray) -> tuple[bool, list[int]]:
             """Whether y is converged, else where it may be deflated."""
-            if _off_sq(y, nb) <= self.conv_off_sq:
+            if off_sq(y) <= self.conv_off_sq:
                 return True, []
             return False, self._deflation_cuts(y.reshape(mb + 1, nb))
 
         if self.wegner:
             wegner = _wegner_band_rhs(nb)
 
-            def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
+            def rhs(_ell: float, y: np.ndarray, out: np.ndarray) -> None:
                 self.n_rhs += 1
-                return wegner(y)
+                wegner(y, out)
 
         else:
 
-            def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
+            def rhs(_ell: float, y: np.ndarray, out: np.ndarray) -> None:
                 self.n_rhs += 1
-                out = np.zeros_like(y)
                 _banded_rhs_inplace(y, out, nb, mb)
-                return out
 
         def start_stepper(ell: float, y: np.ndarray, h: float | None):
             self.n_tasks += 1
@@ -843,7 +867,7 @@ class _BandedFlow:
                     close_run(y, stepper)
                     stepper, pattern, status, run_ell = None, flow_slots(y), check(y), ell
                     continue
-            if stepper is not None and (_off_sq(y, nb) <= self.conv_off_sq
+            if stepper is not None and (off_sq(y) <= self.conv_off_sq
                                         or ell >= self.ell_max):
                 break
             t_cap = min([s for s in self.snap_ells if s > ell] + [self.ell_max])
@@ -870,7 +894,7 @@ class _BandedFlow:
                                 track(y)
                     ell, y = landing
             except StepSizeUnderflow as exc:
-                raise StiffFlowError(ell, frob(y) ** 2, _off_sq(y, nb)) from exc
+                raise StiffFlowError(ell, frob(y) ** 2, off_sq(y)) from exc
             track(y)
             if ell in self.snaps:
                 self._write(self.snaps[ell], task.start, y.reshape(mb + 1, nb))
@@ -881,7 +905,7 @@ class _BandedFlow:
         if cuts:
             self._split(tasks, task.start, e, cuts, ell, h, rate)
         else:
-            self._finish(task.start, e, ell, _off_sq(y, nb) <= self.conv_off_sq)
+            self._finish(task.start, e, ell, off_sq(y) <= self.conv_off_sq)
 
 
 def _ldexp(x, e: int):

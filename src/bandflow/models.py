@@ -165,9 +165,8 @@ def integrate_lipkin_reduced(
     s0 = lipkin_reduced_initial(params, block)
     y0 = np.array([s0.a, s0.b, s0.f])
 
-    def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
-        da, db, df = lipkin_reduced_rhs(LipkinReducedState(*y), params, block)
-        return np.array([da, db, df])
+    def rhs(_ell: float, y: np.ndarray, out: np.ndarray) -> None:
+        out[:] = lipkin_reduced_rhs(LipkinReducedState(*y), params, block)
 
     stepper = Dop853(rhs, 0.0, y0, rel_tol=1e-12, abs_tol=1e-14)
     c0 = lipkin_reduced_conserved(s0, params)
@@ -398,10 +397,9 @@ def integrate_spinboson_reduced(
     if any(x < 0.0 or x > _X_END for x in x_eval):
         raise ValueError(f"x_eval points must lie in [0, {_X_END!r}]")
 
-    def rhs(x: float, y: np.ndarray) -> np.ndarray:
+    def rhs(x: float, y: np.ndarray, out: np.ndarray) -> None:
         state = SpinBosonReducedState(n_lo, x, y[:count], y[count:])
-        df, dg = spinboson_reduced_rhs(state, params)
-        return np.concatenate((df, dg))
+        out[:count], out[count:] = spinboson_reduced_rhs(state, params)
 
     y0 = np.concatenate((np.ones(count), np.zeros(count)))
     stepper = Dop853(rhs, 0.0, y0, rel_tol=1e-10, abs_tol=1e-12)
@@ -419,13 +417,14 @@ def integrate_spinboson_reduced(
             fs.append(float(stepper.y[target]))
             pending = [x for x in pending if x > stepper.t]
 
-    df_end = rhs(stepper.t, stepper.y)[:count]
-    f_end = stepper.y[:count]
-    f_at_1 = float(f_end[target] + (1.0 - stepper.t) * df_end[target])
+    end = SpinBosonReducedState(n_lo, stepper.t, stepper.y[:count].copy(),
+                                stepper.y[count:].copy())
+    df_end, _ = spinboson_reduced_rhs(end, params)
+    f_at_1 = float(end.f[target] + (1.0 - stepper.t) * df_end[target])
     return ReducedSpinBosonResult(
         n_target=n_target,
         x_values=np.array(xs),
         f_target=np.array(fs),
         f_target_at_1=f_at_1,
-        state=SpinBosonReducedState(n_lo, stepper.t, f_end.copy(), stepper.y[count:].copy()),
+        state=end,
     )

@@ -21,11 +21,13 @@ A step then reads 52 stage rows for its 11 stage arguments and 10 for one
 stacked (3, 10) product that gives y_new - y and both error estimates,
 against 66 + 36 rows for the plain sums (16 of whose weights are zero).
 The per-stage slices and weights are built once at import from ``_A``,
-``_B``, ``_E5`` and ``_E3``.
+``_B``, ``_E5`` and ``_E3``; the 11 stage weight vectors sit in one
+zero-padded (11, 13) matrix, so a step scales them all by h in one product.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -134,19 +136,32 @@ _STAGES = 12
 _ROW = (2, 1, 0) + tuple(range(3, _STAGES + 1))
 
 
+def _in_rows(weights: np.ndarray) -> np.ndarray:
+    """The weights laid out over all 13 stage rows in row order, zero where
+    a row holds no weighted stage."""
+    w = np.zeros(weights.shape[:-1] + (_STAGES + 1,))
+    w[..., list(_ROW[: weights.shape[-1]])] = weights
+    return w
+
+
 def _row_slice(weights: np.ndarray) -> tuple[int, int, np.ndarray]:
     """The rows lo:hi that hold every stage with a nonzero weight, and the
     weights laid out in row order over that slice."""
-    w = np.zeros(weights.shape[:-1] + (_STAGES + 1,))
-    w[..., list(_ROW[: weights.shape[-1]])] = weights
+    w = _in_rows(weights)
     used = np.flatnonzero(np.any(w.reshape(-1, _STAGES + 1) != 0.0, axis=0))
     lo, hi = int(used[0]), int(used[-1]) + 1
     return lo, hi, w[..., lo:hi].copy()
 
 
-_STAGE_ROWS = [_row_slice(_A[i]) for i in range(1, _STAGES)]
+# Stage i's weights over all 13 rows, in row i - 1: one product scales
+# every stage's weights by h, and stage i reads row i - 1's slice lo:hi.
+_STAGE_W = np.stack([_in_rows(_A[i]) for i in range(1, _STAGES)])
+# Per stage: the row it is stored in, its node c_i, and the rows lo:hi it reads.
+_STAGE_PLAN = tuple((_ROW[i], float(_C[i]), *_row_slice(_A[i])[:2])
+                    for i in range(1, _STAGES))
 # y_new - y, e5 and e3 in one (3, w) @ (w, n) product; row 0 is scaled by h.
 _FINAL_ROWS = _row_slice(np.stack((_B, _E5, _E3)))
+_H_MIN = 16.0 * np.finfo(float).eps  # smallest step, relative to max(|t|, 1)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -166,10 +181,11 @@ class StepSizeUnderflow(RuntimeError):
 class Dop853:
     """Resumable DOP853 stepper with PI step-size control.
 
-    Each attempted step costs 12 evaluations of ``fun``: 11 new stages and
-    the FSAL evaluation at the new point, which becomes the next step's
-    first stage.  Construction costs one more, plus one for the automatic
-    initial step when ``first_step`` is not given.
+    ``fun(t, y, out)`` writes dy/dt at (t, y) into ``out`` and returns
+    nothing.  Each attempted step costs 12 evaluations of ``fun``: 11 new
+    stages and the FSAL evaluation at the new point, which becomes the next
+    step's first stage.  Construction costs one more, plus one for the
+    automatic initial step when ``first_step`` is not given.
 
     The error estimate is ``|h| ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2)``,
     and the accept/reject test is ``||err||_2 <= abs_tol + rel_tol * scale(y)``
@@ -181,16 +197,20 @@ class Dop853:
     The stepper keeps three buffers across steps: the (13, n) stage matrix
     in ``_ROW`` order (the FSAL carry sits in stage 0's row), one n-vector
     for the stage arguments, and a (3, n) block for the stacked product of
-    y_new - y, e5 and e3.  Each stage argument is written into the same
-    kept buffer, so ``fun`` must not keep a reference to its argument.  The
-    only state-sized arrays a step allocates are what ``fun`` returns and
-    the new state: ``y`` is a fresh array after every accepted step, so
+    y_new - y, e5 and e3.  ``fun`` writes each stage straight into its row
+    of the stage matrix, and the FSAL evaluation into the last row, which
+    the automatic initial step also uses as scratch.  The stage matrix
+    starts zeroed, so a slot that ``fun`` never writes stays 0.  Each stage
+    argument is written into the same kept buffer, so ``fun`` must not keep
+    a reference to its argument or its ``out``.  The only state-sized array
+    a step allocates is the new state, plus whatever ``fun`` allocates as
+    temporaries: ``y`` is a fresh array after every accepted step, so
     callers may keep it.
     """
 
     def __init__(
         self,
-        fun: Callable[[float, np.ndarray], np.ndarray],
+        fun: Callable[[float, np.ndarray, np.ndarray], None],
         t0: float,
         y0: np.ndarray,
         rel_tol: float = 1e-10,
@@ -208,10 +228,11 @@ class Dop853:
         self._scale = scale if scale is not None else lambda y: float(np.linalg.norm(y))
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
-        self._k = np.empty((_STAGES + 1, self.y.size))
-        self._k[_ROW[0]] = fun(self.t, self.y)  # the FSAL carry
+        self._k = np.zeros((_STAGES + 1, self.y.size))
+        fun(self.t, self.y, self._k[_ROW[0]])  # the FSAL carry
         self._yi = np.empty(self.y.size)  # stage arguments
         self._dy = np.empty((3, self.y.size))  # y_new - y, e5 and e3
+        self._wf = _FINAL_ROWS[2].copy()  # the final weights, row 0 times h
         self._err_prev = 1.0
         if first_step is not None:
             if not first_step > 0.0:
@@ -227,13 +248,13 @@ class Dop853:
 
     def _initial_step(self) -> float:
         # Hairer-Norsett-Wanner automatic initial step (simplified).
-        k1 = self._k[_ROW[0]]
+        k1, f1 = self._k[_ROW[0]], self._k[_STAGES]
         tol = self._tol(self.y)
         d0 = float(np.linalg.norm(self.y))
         d1 = float(np.linalg.norm(k1))
         h0 = 1e-6 if d1 <= 1e-300 else 0.01 * max(d0, 1.0) / d1
         y1 = self.y + h0 * k1
-        f1 = np.asarray(self.fun(self.t + h0, y1), dtype=float)
+        self.fun(self.t + h0, y1, f1)
         d2 = float(np.linalg.norm(f1 - k1)) / h0
         rate = max(d1, d2, 1e-300)
         h1 = (tol / rate) ** 0.125 if tol > 0 else h0
@@ -243,36 +264,36 @@ class Dop853:
         """Advance one accepted step, never beyond ``t_cap``."""
         if t_cap <= self.t:
             raise ValueError("t_cap must exceed current time")
+        k, y, t, fun, yi, dy, wf = self._k, self.y, self.t, self.fun, self._yi, self._dy, self._wf
+        lo_f, hi_f, w_f = _FINAL_ROWS
         while True:
             h = self.h
-            if not h > 16.0 * np.finfo(float).eps * max(abs(self.t), 1.0):  # NaN too
-                raise StepSizeUnderflow(
-                    self.t, f"step size underflow at t={self.t:.6g} (h={h:.3g})"
-                )
-            clipped = self.t + h >= t_cap
+            if not h > _H_MIN * max(abs(t), 1.0):  # NaN too
+                raise StepSizeUnderflow(t, f"step size underflow at t={t:.6g} (h={h:.3g})")
+            clipped = t + h >= t_cap
             if clipped:
-                h = t_cap - self.t
+                h = t_cap - t
 
-            k, y, t, fun, yi, dy = self._k, self.y, self.t, self.fun, self._yi, self._dy
-            for i, (lo, hi, w) in enumerate(_STAGE_ROWS, 1):
+            hw = h * _STAGE_W
+            for (row, c, lo, hi), w in zip(_STAGE_PLAN, hw):
                 if hi - lo == 1:  # numpy 2.4's matmul skips BLAS here: 7x slower
-                    np.multiply(h * w[0], k[lo], out=yi)
+                    np.multiply(w[lo], k[lo], out=yi)
                 else:
-                    np.matmul(h * w, k[lo:hi], out=yi)
+                    np.matmul(w[lo:hi], k[lo:hi], out=yi)
                 yi += y
-                k[_ROW[i]] = fun(t + _C[i] * h, yi)
-            lo, hi, w = _FINAL_ROWS
-            np.matmul(w * [[h], [1.0], [1.0]], k[lo:hi], out=dy)
+                fun(t + c * h, yi, k[row])
+            np.multiply(w_f[0], h, out=wf[0])
+            np.matmul(wf, k[lo_f:hi_f], out=dy)
             y_new = y + dy[0]  # fresh: callers keep self.y across steps
-            k[_STAGES] = fun(t + h, y_new)  # FSAL
+            fun(t + h, y_new, k[_STAGES])  # FSAL
             e5_sq = float(np.dot(dy[1], dy[1]))
             denom = e5_sq + 0.01 * float(np.dot(dy[2], dy[2]))
-            err = abs(h) * e5_sq / np.sqrt(denom) if denom > 0.0 else 0.0
+            err = abs(h) * e5_sq / math.sqrt(denom) if denom > 0.0 else 0.0
             tol = self._tol(y_new)
-            ratio = err / tol if tol > 0 else np.inf
+            ratio = err / tol if tol > 0 else math.inf
 
             if ratio <= 1.0:
-                self.t = t_cap if clipped else self.t + h
+                self.t = t_cap if clipped else t + h
                 self.y = y_new
                 k[_ROW[0]] = k[_STAGES]
                 self.n_accepted += 1

@@ -43,6 +43,44 @@ def spinboson_chain(n, delta=1.0):
     return build_spinboson(SpinBosonParams(delta=delta, lam=4.0, omega=1.0, n_trunc=n))
 
 
+@st.composite
+def structured_banded(draw, n_max, m_max, n_min=2):
+    """Random banded matrices with exact-zero couplings (reducible inputs)
+    and diagonal values drawn from a few levels (near-degenerate spectra)."""
+    n = draw(st.integers(n_min, n_max))
+    m = draw(st.integers(1, min(m_max, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, n))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    diag = rng.integers(0, levels, n) / max(levels - 1, 1)
+    bands = [diag] + [
+        np.where(rng.random(n - k) < zero_frac, 0.0, rng.uniform(-1, 1, n - k))
+        for k in range(1, m + 1)
+    ]
+    return BandedSymmetricMatrix(n, m, bands)
+
+
+def accumulated_stencil(y, n, m):
+    """The sign flow's dH/dl on a flattened row array, summed into a zeroed
+    array in the stencil's order: the diagonal's terms are added to 0, each
+    off-diagonal band's first term is assigned and later ones added."""
+    out = np.zeros(y.size)
+    r0 = out[:n]
+    for j in range(1, m + 1):
+        ej2 = 2.0 * y[j * n : (j + 1) * n - j] ** 2
+        r0[j:] += ej2
+        r0[: n - j] -= ej2
+    for d in range(1, m + 1):
+        rd = out[d * n : d * n + n - d]
+        rd[:] = (y[: n - d] - y[d:n]) * y[d * n : d * n + n - d]
+        for i in range(1, m - d + 1):
+            w = n - d - i
+            oi, odi = i * n, (d + i) * n
+            rd[i:] += 2.0 * (y[oi : oi + w] * y[odi : odi + w])
+            rd[:w] -= 2.0 * (y[odi : odi + w] * y[oi + d : oi + n - i])
+    return out
+
+
 class TestTableau:
     """Order conditions on the transcribed DOP853 coefficients."""
 
@@ -67,7 +105,7 @@ class TestTableau:
         # and a first step of the grid spacing, which clipped steps never
         # shrink, runs into every cap, so each step spans the grid spacing
         def global_error(spacing):
-            stepper = Dop853(lambda t, y: -y, 0.0, np.array([1.0]), rel_tol=1e-3,
+            stepper = Dop853(decay, 0.0, np.array([1.0]), rel_tol=1e-3,
                              abs_tol=1e-3, first_step=spacing)
             n = round(8.0 / spacing)
             for j in range(1, n + 1):
@@ -82,8 +120,8 @@ class TestTableau:
 class TestStageLayout:
     """The slices a step reads from its stage matrix, built from the tableau."""
 
-    COMBINATIONS = [(i, lo, hi, w[None], ode._A[i][None])
-                    for i, (lo, hi, w) in enumerate(ode._STAGE_ROWS, 1)]
+    COMBINATIONS = [(i, lo, hi, ode._STAGE_W[i - 1, lo:hi][None], ode._A[i][None])
+                    for i, (_, _, lo, hi) in enumerate(ode._STAGE_PLAN, 1)]
     COMBINATIONS.append((ode._STAGES, *ode._FINAL_ROWS,
                          np.stack((ode._B, ode._E5, ode._E3))))
 
@@ -114,15 +152,21 @@ class TestStageLayout:
         assert np.all(np.abs(w @ stored[lo:hi] - want) <= 1e-14 * scale)
 
     def test_rows_read_per_step(self):
-        assert sum(hi - lo for lo, hi, _ in ode._STAGE_ROWS) == 52
+        assert sum(hi - lo for *_, lo, hi in ode._STAGE_PLAN) == 52
         assert ode._FINAL_ROWS[1] - ode._FINAL_ROWS[0] == 10
+
+
+def decay(_t, y, out):
+    """y' = -y, in the stepper's convention: written into out."""
+    np.negative(y, out=out)
 
 
 def textbook_step(fun, t, y, h):
     """One DOP853 step as plain sums over the tableau, stages in order.
 
-    Returns y_new, e5 and e3, each with the sum of the magnitudes of the
-    terms it adds up: the scale that rounding is relative to.
+    fun(t, y) returns the derivative.  Returns y_new, e5 and e3, each with
+    the sum of the magnitudes of the terms it adds up: the scale that
+    rounding is relative to.
     """
     k = [fun(t, y)]
     for i in range(1, 12):
@@ -141,15 +185,15 @@ def textbook_step(fun, t, y, h):
 
 class TestStepper:
     def test_exponential_decay(self):
-        stepper = Dop853(lambda t, y: -y, 0.0, np.array([1.0]), rel_tol=1e-11, abs_tol=1e-13)
+        stepper = Dop853(decay, 0.0, np.array([1.0]), rel_tol=1e-11, abs_tol=1e-13)
         while stepper.t < 5.0:
             stepper.step(5.0)
         assert stepper.t == 5.0  # caps are hit exactly
         assert stepper.y[0] == pytest.approx(np.exp(-5.0), rel=1e-9)
 
     def test_oscillator_energy(self):
-        def rhs(_t, y):
-            return np.array([y[1], -y[0]])
+        def rhs(_t, y, out):
+            out[:] = y[1], -y[0]
 
         stepper = Dop853(rhs, 0.0, np.array([1.0, 0.0]), rel_tol=1e-12, abs_tol=1e-14)
         while stepper.t < 2 * np.pi:
@@ -162,20 +206,21 @@ class TestStepper:
                        {"y0": np.array([math.nan])}, {"y0": np.array([1.0, math.inf])}):
             args = {"y0": np.array([1.0])} | kwargs
             with pytest.raises(ValueError):
-                Dop853(lambda t, y: -y, 0.0, **args)
+                Dop853(decay, 0.0, **args)
 
     def test_nan_rhs_raises_underflow(self):
         # a NaN derivative makes a NaN step size, which must not loop forever
-        stepper = Dop853(lambda t, y: np.full_like(y, math.nan), 0.0, np.array([1.0]))
+        stepper = Dop853(lambda t, y, out: out.fill(math.nan), 0.0, np.array([1.0]))
         with pytest.raises(StepSizeUnderflow):
             stepper.step(1.0)
 
     def test_step_allocates_no_stage_arrays(self):
-        # within a step only fun's result and y_new are new state-sized
-        # arrays; the stage arguments and the final product use kept buffers
+        # within a step only y_new is a new state-sized array; fun writes
+        # into the stage matrix, and the stage arguments and the final
+        # product use kept buffers
         n = 20000
         a = -np.linspace(0.1, 1.0, n)
-        stepper = Dop853(lambda t, y: a * y, 0.0, np.ones(n))
+        stepper = Dop853(lambda t, y, out: np.multiply(a, y, out=out), 0.0, np.ones(n))
         stepper.step(1.0)
         tracemalloc.start()
         try:
@@ -186,6 +231,36 @@ class TestStepper:
             tracemalloc.stop()
         assert stepper.n_rejected == 0
         assert (peak - base) / (8 * n) <= 2.5
+
+    def test_sign_flow_step_allocates_under_two_states(self, monkeypatch):
+        # the flow's stencil writes into its stage row: on a long M = 1
+        # state a step allocates y_new and the stencil's n - 1 squared
+        # couplings, not a zeroed buffer per RHS evaluation
+        class Measured(flow.Dopri54):
+            def step(self, t_cap):
+                super().step(t_cap)
+                rejected = self.n_rejected
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    super().step(t_cap)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                raise Measurement(peak - base, self.y.nbytes, self.n_rejected - rejected)
+
+        class Measurement(Exception):
+            pass
+
+        monkeypatch.setattr(flow, "Dopri54", Measured)
+        n = 10**5
+        rng = np.random.default_rng(0)
+        h = BandedSymmetricMatrix(n, 1, [rng.uniform(-1, 1, n), rng.uniform(-1, 1, n - 1)])
+        with pytest.raises(Measurement) as info:
+            integrate_flow(h)
+        new, state, rejected = info.value.args
+        assert state == 2 * n * 8 and rejected == 0
+        assert new / state <= 2.0
 
     @pytest.mark.parametrize("n", [1, 7, 20000])
     @pytest.mark.parametrize("h", [0.2, 0.7])
@@ -199,7 +274,10 @@ class TestStepper:
         def rhs(t, y):
             return np.cos(2.0 * t) - a * y * (1.0 + 0.1 * y)
 
-        stepper = Dop853(rhs, 0.25, y0, rel_tol=1e3, abs_tol=1e3, first_step=h)
+        def rhs_into(t, y, out):
+            out[:] = rhs(t, y)
+
+        stepper = Dop853(rhs_into, 0.25, y0, rel_tol=1e3, abs_tol=1e3, first_step=h)
         stepper.step(10.0)
         assert (stepper.t, stepper.n_rejected) == (0.25 + h, 0)
         (y_new, y_scale), *errors = textbook_step(rhs, 0.25, y0, h)
@@ -210,8 +288,8 @@ class TestStepper:
     def test_underflow_at_singularity(self):
         # y' = y / (1 - t) blows up at t = 1; the controller must give up
         # with a diagnostic rather than loop forever
-        def rhs(t, y):
-            return y / (1.0 - t)
+        def rhs(t, y, out):
+            np.divide(y, 1.0 - t, out=out)
 
         stepper = Dop853(rhs, 0.0, np.array([1.0]))
         with pytest.raises(StepSizeUnderflow) as info:
@@ -273,6 +351,26 @@ class TestGenerators:
         got = out.reshape(m + 1, n)
         assert np.all(got[pad] == 0.0)
         assert np.array_equal(got, expect)
+
+    @settings(deadline=None)
+    @given(h=structured_banded(40, 4))
+    def test_stencil_overwrites_every_valid_slot(self, h):
+        # out need not arrive zeroed: a zeroed out and one with NaN in every
+        # valid slot both get the bytes of the stencil's sums accumulated
+        # into zeros, signed zeros included, and no padding slot is
+        # written, whatever it holds
+        n, m = h.dim, h.bandwidth
+        y = h.rows().ravel()
+        want = accumulated_stencil(y, n, m)
+        pad = (np.add.outer(np.arange(m + 1), np.arange(n)) >= n).ravel()
+        for fill in (0.0, np.nan):
+            out = np.where(pad, 0.0, fill)
+            flow._banded_rhs_inplace(y, out, n, m)
+            assert out.tobytes() == want.tobytes()
+        marked = np.where(pad, 7.0, np.nan)
+        flow._banded_rhs_inplace(y, marked, n, m)
+        assert np.all(marked[pad] == 7.0)
+        assert marked[~pad].tobytes() == want[~pad].tobytes()
 
     def test_wegner_rhs_diagonal_fixed_point(self):
         assert np.all(wegner_rhs(np.diag([1.0, 3.0, -2.0])) == 0.0)
@@ -640,14 +738,8 @@ def stepped_pair(h, ells):
     span, the diagonal within a few ulp.
     """
     (a, c), (b, _) = h.rows()
-
-    def rhs(_ell, y):
-        out = np.zeros(4)
-        flow._banded_rhs_inplace(y, out, 2, 1)
-        return out
-
     h_max = 0.1 / math.hypot(a - c, 2.0 * b)
-    stepper = Dop853(rhs, 0.0, h.rows().ravel(), rel_tol=1e-13, abs_tol=1e-300)
+    stepper = Dop853(stencil_rhs(2, 1), 0.0, h.rows().ravel(), rel_tol=1e-13, abs_tol=1e-300)
     states = []
     for ell in ells:
         while stepper.t < ell:
@@ -782,23 +874,6 @@ class TestClosedFormPair:
         assert np.array_equal(res.final.rows(), h.rows())
 
 
-@st.composite
-def structured_banded(draw, n_max, m_max, n_min=2):
-    """Random banded matrices with exact-zero couplings (reducible inputs)
-    and diagonal values drawn from a few levels (near-degenerate spectra)."""
-    n = draw(st.integers(n_min, n_max))
-    m = draw(st.integers(1, min(m_max, n - 1)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    levels = draw(st.integers(1, n))
-    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.7]))
-    diag = rng.integers(0, levels, n) / max(levels - 1, 1)
-    bands = [diag] + [
-        np.where(rng.random(n - k) < zero_frac, 0.0, rng.uniform(-1, 1, n - k))
-        for k in range(1, m + 1)
-    ]
-    return BandedSymmetricMatrix(n, m, bands)
-
-
 def coupling_components(h):
     """Index sets connected by nonzero couplings.
 
@@ -919,12 +994,11 @@ class TestFlowProperties:
 
 
 def stencil_rhs(n, m):
-    """The sign flow's dH/dl on a flattened row array of width n, band m."""
+    """The sign flow's dH/dl on a flattened row array of width n, band m,
+    written into out as the stepper asks."""
 
-    def rhs(_ell, y):
-        out = np.zeros_like(y)
+    def rhs(_ell, y, out):
         flow._banded_rhs_inplace(y, out, n, m)
-        return out
 
     return rhs
 
