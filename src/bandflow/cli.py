@@ -7,8 +7,10 @@ that round-trips to the same float, so emitted files re-parse bit-exactly.
 
 Exit codes: 0 success/converged; 2 flow not converged, either because it
 reached ell_max or because it stalled (the step size underflowed; a
-one-line message goes to stderr); 3 input or output error, reported as one
-line on stderr; 4 truncation certification failure.  The --out and
+one-line message goes to stderr); 3 input or output error, including input
+too large for memory on any command, reported as one line on stderr; 4
+truncation certification failure.  The commands raise; main alone maps
+their errors to these exit codes and prints the one line.  The --out and
 --trace-out files are opened (and truncated) before any work runs, so an
 unwritable path exits 3 at once.  Output that cannot be written later, to a
 full device for one, also exits 3 with one line on stderr; a reader that
@@ -29,7 +31,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import analytics, models
-from .band import BandedSymmetricMatrix, read_matrix
+from .band import BandedSymmetricMatrix, make_banded, read_matrix
 from .flow import FlowConfig, GeneratorKind, StiffFlowError, integrate_flow
 from .models import LipkinParams, SpinBosonParams, TruncationError
 from .oracle import eigenvalues_tridiag
@@ -99,9 +101,9 @@ def _parse_ells(text: str) -> tuple[float, ...]:
     return tuple(sorted(float(p) for p in text.split(",") if p.strip()))
 
 
-def _flow_config(args, snapshot_ells=()) -> FlowConfig:
+def _flow_config(args, generator=GeneratorKind.MIELKE, snapshot_ells=()) -> FlowConfig:
     return FlowConfig(
-        generator=GeneratorKind(args.generator) if hasattr(args, "generator") else GeneratorKind.MIELKE,
+        generator=generator,
         rel_tol=args.rtol,
         abs_tol=args.atol,
         convergence_tol=args.conv_tol,
@@ -119,6 +121,18 @@ def _add_flow_flags(p: argparse.ArgumentParser) -> None:
                    help="flow-parameter cap (default: auto from dimension and spread)")
 
 
+def _read_matrix_file(path: str) -> BandedSymmetricMatrix:
+    """Read a matrix file; an unreadable or malformed file is a ValueError
+    naming the path."""
+    try:
+        with open(path) as f:
+            return read_matrix(f)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _threads(n_tasks: int) -> int:
     raw = os.environ.get("BANDFLOW_THREADS", "")
     try:
@@ -132,25 +146,11 @@ def _threads(n_tasks: int) -> int:
 
 
 def cmd_flow(args) -> int:
-    try:
-        with open(args.matrix) as f:
-            h0 = read_matrix(f)
-    except OSError as exc:
-        print(f"error: cannot read {args.matrix}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {args.matrix}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        snapshot_ells = _parse_ells(args.snapshot_ells) if args.snapshot_ells else ()
-        if args.trace_out and not snapshot_ells:
-            raise ValueError("--trace-out writes one row per snapshot; give --snapshot-ells")
-        result = integrate_flow(h0, _flow_config(args, snapshot_ells=snapshot_ells))
-    except ValueError as exc:  # bad flags, or a Wegner flow over its size cap
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    h0 = _read_matrix_file(args.matrix)
+    snapshot_ells = _parse_ells(args.snapshot_ells) if args.snapshot_ells else ()
+    if args.trace_out and not snapshot_ells:
+        raise ValueError("--trace-out writes one row per snapshot; give --snapshot-ells")
+    result = integrate_flow(h0, _flow_config(args, GeneratorKind(args.generator), snapshot_ells))
     if args.trace_out:
         header = ["ell", "trace", "frob_sq", "offdiag_sq"] + [f"h{i}{i}" for i in range(h0.dim)]
         _write_csv(args.trace_out, header, [
@@ -257,18 +257,9 @@ _SPECTRUM_HEADER = [
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        args.level_list = _parse_levels(args.levels)
-        if args.model == "lipkin":
-            rows, status = _spectrum_lipkin(args)
-        else:
-            rows, status = _spectrum_spinboson(args)
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    args.level_list = _parse_levels(args.levels)
+    report = _spectrum_lipkin if args.model == "lipkin" else _spectrum_spinboson
+    rows, status = report(args)
     _write_csv(args.out or sys.stdout, _SPECTRUM_HEADER, rows)
     return status
 
@@ -279,7 +270,7 @@ def cmd_spectrum(args) -> int:
 def _fig1_point(task) -> tuple[float, list[tuple[int, float]], bool]:
     """Worst-over-branches relative error of the Bessel-form eigenvalue
     estimate at one coupling point, for each requested level."""
-    delta_over_omega, lam_over_omega, n_list, flow_kwargs = task
+    delta_over_omega, lam_over_omega, n_list, config = task
     omega = 1.0  # results depend only on the two ratios
     n_max = max(n_list)
     errs = {n: 0.0 for n in n_list}
@@ -294,7 +285,7 @@ def _fig1_point(task) -> tuple[float, list[tuple[int, float]], bool]:
         )
         params = models.certify_truncation(base, n_max)
         h = models.build_spinboson(params)
-        result = integrate_flow(h, FlowConfig(**flow_kwargs))
+        result = integrate_flow(h, config)
         converged &= result.converged
         diag = result.final.diagonal()
         for n in n_list:
@@ -304,35 +295,24 @@ def _fig1_point(task) -> tuple[float, list[tuple[int, float]], bool]:
 
 
 def cmd_fig1(args) -> int:
-    flow_kwargs = dict(
-        rel_tol=args.rtol, abs_tol=args.atol, convergence_tol=args.conv_tol,
-        ell_max=args.ell_max,
-    )
-    # Validate here, where an error is one line: the points run in worker processes.
-    try:
-        n_list = _parse_levels(args.n_list)
-        if n_list[0] < 1:
-            raise ValueError("fig1 levels must be >= 1: the asymptotic formulas start at n = 1")
-        if args.grid_points < 2:
-            raise ValueError("grid must have at least 2 points")
-        SpinBosonParams(delta=args.delta_max, lam=args.lambda_over_omega, omega=1.0)
-        FlowConfig(**flow_kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # Check the flags before any worker process starts; an error a worker
+    # raises reaches main through pool.map all the same.
+    n_list = _parse_levels(args.n_list)
+    if n_list[0] < 1:
+        raise ValueError("fig1 levels must be >= 1: the asymptotic formulas start at n = 1")
+    if args.grid_points < 2:
+        raise ValueError("grid must have at least 2 points")
+    SpinBosonParams(delta=args.delta_max, lam=args.lambda_over_omega, omega=1.0)
+    config = _flow_config(args)
 
     grid = np.linspace(0.0, args.delta_max, args.grid_points)
-    tasks = [(float(d), args.lambda_over_omega, tuple(n_list), flow_kwargs) for d in grid]
+    tasks = [(float(d), args.lambda_over_omega, tuple(n_list), config) for d in grid]
     workers = _threads(len(tasks))
-    try:
-        if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_fig1_point, tasks))
-        else:
-            results = [_fig1_point(t) for t in tasks]
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_fig1_point, tasks))
+    else:
+        results = [_fig1_point(t) for t in tasks]
 
     status = EXIT_OK
     rows = []
@@ -354,40 +334,20 @@ def _offset_occupancy(mat: BandedSymmetricMatrix) -> list[float]:
 
 
 def cmd_compare_generators(args) -> int:
-    if args.matrix:
-        try:
-            with open(args.matrix) as f:
-                h0 = read_matrix(f)
-        except (OSError, ValueError) as exc:
-            print(f"error: {args.matrix}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        from .band import make_banded
-
-        h0 = make_banded(3, 1, _COMPARE_DEFAULT)
+    h0 = _read_matrix_file(args.matrix) if args.matrix else make_banded(3, 1, _COMPARE_DEFAULT)
     if h0.dim > 64:
-        print("error: comparison mode is capped at N <= 64", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        if args.snapshot_ells:
-            ells = _parse_ells(args.snapshot_ells)
-        else:
-            fro2 = h0.frobenius_norm_sq()
-            if fro2 == 0.0:
-                raise ValueError("default snapshot ells scale by 1/||H||^2, and ||H|| = 0; "
-                                 "pass --snapshot-ells")
-            ells = tuple(s / fro2 for s in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0))
-        configs = [
-            FlowConfig(
-                generator=gen, rel_tol=args.rtol, abs_tol=args.atol,
-                convergence_tol=args.conv_tol, ell_max=args.ell_max, snapshot_ells=ells,
-            )
-            for gen in (GeneratorKind.MIELKE, GeneratorKind.WEGNER)
-        ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("comparison mode is capped at N <= 64")
+    if args.snapshot_ells:
+        ells = _parse_ells(args.snapshot_ells)
+    else:
+        fro2 = h0.frobenius_norm_sq()
+        if fro2 == 0.0:
+            raise ValueError("default snapshot ells scale by 1/||H||^2, and ||H|| = 0; "
+                             "pass --snapshot-ells")
+        ells = tuple(s / fro2 for s in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0))
+    # both configs are checked before either flow runs
+    configs = [_flow_config(args, gen, ells)
+               for gen in (GeneratorKind.MIELKE, GeneratorKind.WEGNER)]
 
     status = EXIT_OK
     rows = []
@@ -469,6 +429,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "branch", None) is not None:
         args.branch = +1 if args.branch == "+" else -1
+    # The one place that maps errors to exit codes: the commands just raise.
     try:
         with contextlib.ExitStack() as stack:
             try:
@@ -476,20 +437,26 @@ def main(argv: Sequence[str] | None = None) -> int:
             except OSError as exc:
                 print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
                 return EXIT_INPUT
-            try:
-                status = args.func(args)
-            except StiffFlowError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_NOT_CONVERGED
+            status = args.func(args)
         sys.stdout.flush()  # a closed or full stdout fails here, not at exit
         return status
+    except StiffFlowError as exc:
+        return _report(exc, EXIT_NOT_CONVERGED)
+    except TruncationError as exc:
+        return _report(exc, EXIT_TRUNCATION)
+    except (ValueError, MemoryError) as exc:  # bad input, or input too large for memory
+        return _report(exc, EXIT_INPUT)
     except BrokenPipeError:  # the reader stopped early, as `| head` does
         _detach_stdout()
         return EXIT_INPUT
     except OSError as exc:  # a full device, say
         _detach_stdout()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _report(exc, EXIT_INPUT)
+
+
+def _report(exc: Exception, status: int) -> int:
+    print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    return status
 
 
 def _detach_stdout() -> None:

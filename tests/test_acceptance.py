@@ -86,8 +86,8 @@ def ensemble():
 def fig1_data():
     """Worst-over-branches eigenvalue-formula errors on the 26-point grid,
     for levels 10/15/20, shared by criteria 9 and 10."""
-    flow_kwargs = dict(rel_tol=1e-10, abs_tol=1e-12, convergence_tol=1e-10, ell_max=None)
-    tasks = [(float(d), 4.0, FIG1_LEVELS, flow_kwargs) for d in FIG1_GRID]
+    config = FlowConfig(rel_tol=1e-10, abs_tol=1e-12, convergence_tol=1e-10, ell_max=None)
+    tasks = [(float(d), 4.0, FIG1_LEVELS, config) for d in FIG1_GRID]
     workers = min(os.cpu_count() or 1, len(tasks))
     t0 = time.perf_counter()
     if workers > 1:

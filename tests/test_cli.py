@@ -11,6 +11,7 @@ from bandflow import cli
 from bandflow.band import make_banded, write_matrix
 from bandflow.cli import main
 from bandflow.flow import StiffFlowError
+from bandflow.models import TruncationError
 
 SQRT3 = 1.7320508075688772
 
@@ -319,12 +320,18 @@ class TestExitCodes:
         assert rc == 3
         self._one_line_error(capsys)
 
-    @pytest.mark.parametrize("flags", [["--delta-max", "-1"], ["--rtol", "-1"], ["--n-list", "0"]])
+    @pytest.mark.parametrize("flags", [
+        ["--delta-max", "-1"],
+        ["--rtol", "-1"],
+        ["--n-list", "0"],
+        ["--lambda-over-omega", "1e308"],  # raised inside each grid point, by the truncation rule
+    ])
     def test_fig1_bad_flags(self, capsys, monkeypatch, flags):
-        monkeypatch.setenv("BANDFLOW_THREADS", "2")
-        rc = main(["fig1", "--n-list", "2", "--grid-points", "2", *flags])
-        assert rc == 3
-        self._one_line_error(capsys)
+        for threads in ("1", "2"):  # the serial path and the worker processes
+            monkeypatch.setenv("BANDFLOW_THREADS", threads)
+            rc = main(["fig1", "--n-list", "2", "--grid-points", "2", *flags])
+            assert rc == 3
+            self._one_line_error(capsys)
 
     @pytest.mark.parametrize("flags", [
         ["--omega", "0"],
@@ -377,10 +384,48 @@ class TestExitCodes:
             "(frob_sq=2, offdiag_sq=0.001)\n"
         assert "final_diagonal" not in captured.out
 
-    @pytest.mark.parametrize("command", ["flow", "compare-generators"])
-    def test_oversized_header(self, tmp_path, command):
-        # the band storage of N = 1e9 takes 8 GB: under a 2 GiB address-space
-        # limit its allocation fails, which is an input error, not a traceback
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["flow", "{m}"], id="flow"),
+        pytest.param(["spectrum", "--model", "lipkin"], id="spectrum"),
+        pytest.param(["fig1", "--n-list", "2", "--grid-points", "2"], id="fig1"),
+        pytest.param(["compare-generators"], id="compare-generators"),
+    ])
+    @pytest.mark.parametrize("error, code", [
+        pytest.param(lambda: ValueError("bad input"), 3, id="ValueError"),
+        pytest.param(MemoryError, 3, id="MemoryError"),  # no message of its own
+        pytest.param(lambda: TruncationError("no certified truncation"), 4, id="TruncationError"),
+        pytest.param(lambda: StiffFlowError(0.5, 2.0, 1e-3), 2, id="StiffFlowError"),
+    ])
+    def test_errors_map_to_exit_codes(self, tmp_path, capsys, monkeypatch, argv, error, code):
+        # every command leaves the mapping to main: one table, one stderr line
+        def fail(h0, config=None):
+            raise error()
+
+        monkeypatch.setattr(cli, "integrate_flow", fail)
+        monkeypatch.setenv("BANDFLOW_THREADS", "1")
+        m = write_file(tmp_path, "m.txt", make_banded(2, 1, {(0, 1): 1.0}))
+        assert main([a.format(m=m) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.strip() != "error:" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, fragment", [
+        # the band storage of N = 1e9 takes 8 GB
+        pytest.param(["flow", "{huge}"], "N=1000000000, M=0", id="flow"),
+        pytest.param(["compare-generators", "{huge}"], "N=1000000000, M=0",
+                     id="compare-generators"),
+        # 2J+1 = 1e9 + 1 levels: each parity block's diagonal takes 4 GB
+        pytest.param(["spectrum", "--model", "lipkin", "--two-j", "1000000000", "--levels", "0"],
+                     "allocate", id="spectrum-lipkin"),
+        # a level range of 1e10 entries: Python's own MemoryError carries no message
+        pytest.param(["spectrum", "--model", "lipkin", "--levels", "0-10000000000"],
+                     "MemoryError", id="spectrum-levels"),
+    ])
+    def test_oversized_header(self, tmp_path, argv, fragment):
+        # under a 2 GiB address-space limit each input's allocation fails,
+        # which is an input error, not a traceback.  Never run these inputs
+        # without the limit: they exhaust the machine.
         resource = pytest.importorskip("resource")
         path = tmp_path / "huge.txt"
         path.write_text("bandmat 1000000000 0\n")
@@ -392,13 +437,14 @@ class TestExitCodes:
 
         env = subprocess_env()
         env["OPENBLAS_NUM_THREADS"] = "1"  # thread stacks count against the limit
-        proc = subprocess.run([sys.executable, "-m", "bandflow", command, str(path)],
+        proc = subprocess.run([sys.executable, "-m", "bandflow",
+                               *(a.format(huge=path) for a in argv)],
                               env=env, preexec_fn=limit_address_space,
                               capture_output=True, timeout=120)
         assert proc.returncode == 3
         err = proc.stderr.decode()
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "N=1000000000, M=0" in err
+        assert fragment in err
 
 
 class TestUnwritableStdout:
