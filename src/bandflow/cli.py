@@ -81,20 +81,28 @@ def _open_outputs(args, stack: contextlib.ExitStack) -> None:
             setattr(args, name, sys.stdout if path == "-" else stack.enter_context(open(path, "w")))
 
 
-def _parse_levels(text: str) -> list[int]:
-    levels: list[int] = []
+def _parse_levels(text: str, count: int | None = None) -> list[int]:
+    """The sorted levels of a list like '0-5,8'.  Each range stays a (lo, hi)
+    pair until every level is known to lie below count, the model's number
+    of levels, so a range past the end costs nothing however long it is."""
+    ranges: list[tuple[int, int]] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "-" in part[1:]:
             lo, hi = part.split("-", 1)
-            levels.extend(range(int(lo), int(hi) + 1))
+            pair = int(lo), int(hi)
         else:
-            levels.append(int(part))
-    if not levels or any(n < 0 for n in levels):
+            pair = int(part), int(part)
+        if pair[0] <= pair[1]:
+            ranges.append(pair)
+    if not ranges or any(lo < 0 for lo, _ in ranges):
         raise ValueError(f"invalid level list {text!r}")
-    return sorted(set(levels))
+    if count is not None and any(hi >= count for _, hi in ranges):
+        k = min(max(lo, count) for lo, hi in ranges if hi >= count)
+        raise ValueError(f"level {k} out of range for {count} levels")
+    return sorted({k for lo, hi in ranges for k in range(lo, hi + 1)})
 
 
 def _parse_ells(text: str) -> tuple[float, ...]:
@@ -181,6 +189,7 @@ def _rel_err(approx: float | None, ref: float) -> float | None:
 
 def _spectrum_lipkin(args) -> tuple[list, int]:
     params = LipkinParams(xi0=args.xi0, v0=args.v0, two_j=args.two_j)
+    levels = _parse_levels(args.levels, params.two_j + 1)
     block_a, block_b = models.build_lipkin_blocks(params)
     status = EXIT_OK
     flows = []
@@ -200,9 +209,7 @@ def _spectrum_lipkin(args) -> tuple[list, int]:
     )
     rpa_ok = 4.0 * params.j * abs(params.v0) < params.xi0
     rows = []
-    for k in args.level_list:
-        if k >= eps_flow.shape[0]:
-            raise ValueError(f"level {k} out of range for 2J+1 = {eps_flow.shape[0]} levels")
+    for k in levels:
         asym1 = None
         if rpa_ok:
             # interleaved blocks: even k -> block 1, odd k -> block 2
@@ -214,7 +221,8 @@ def _spectrum_lipkin(args) -> tuple[list, int]:
 
 
 def _spectrum_spinboson(args) -> tuple[list, int]:
-    n_max = max(args.level_list)
+    levels = _parse_levels(args.levels)
+    n_max = levels[-1]
     base = SpinBosonParams(delta=args.delta, lam=args.lam, omega=args.omega, branch=args.branch)
     base = dataclasses.replace(  # the truncation rule reads validated parameters
         base, n_trunc=models.default_n_trunc(n_max, base.lam, base.omega)
@@ -227,7 +235,7 @@ def _spectrum_spinboson(args) -> tuple[list, int]:
     eps_flow = result.final.diagonal()
     ev = eigenvalues_tridiag(h.band(0), h.band(1), k=n_max + 1).eigenvalues
     rows = []
-    for n in args.level_list:
+    for n in levels:
         asym1 = asym2 = cond_f = cond_order = None
         if n >= 1:
             a1 = analytics.spinboson_eps_asym(n, params, "bessel")
@@ -257,7 +265,6 @@ _SPECTRUM_HEADER = [
 
 
 def cmd_spectrum(args) -> int:
-    args.level_list = _parse_levels(args.levels)
     report = _spectrum_lipkin if args.model == "lipkin" else _spectrum_spinboson
     rows, status = report(args)
     _write_csv(args.out or sys.stdout, _SPECTRUM_HEADER, rows)

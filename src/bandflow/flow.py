@@ -81,7 +81,7 @@ __all__ = [
 _WEGNER_CAP = 256
 _DECAY_FIT_FLOOR = 1e-12  # times ||H||_F; below this, roundoff dominates log fits
 _DEFLATE_EVERY = 4  # accepted steps between boundary scans
-_STEP_RATE = 0.4  # guess at DOP853's step times the block's rate r (see _Task)
+_STEP_RATE = 0.4  # guess at DOP853's step times the block's rate r: 0.37-0.80 (see _Task)
 _JUMP_ROWS = 48  # block size whose jump costs about one step at M = 3
 _JUMP_BISECTIONS = 2  # halvings that place a deflation inside a jump
 _UNIT_ROUNDOFF = 2.0**-53
@@ -175,7 +175,7 @@ class FlowStats:
     fixed BLAS thread count: the stepper's stage combinations are BLAS
     gemv and gemm products, whose summation order can follow the number of
     threads.  For example, the benchmark's lipkin-chain blocks at seed 0
-    build 26 steppers with one OpenBLAS thread and 28 with two.
+    build 24 steppers with one OpenBLAS thread and 25 with two.
 
     n_tasks counts steppers built: one per block that starts by stepping,
     and one more each time a sign-flow block switches from jumps to steps.
@@ -495,14 +495,17 @@ class _Task:
     h0 and rate pass from a block to the pieces it splits into.  h0 is the
     step size of the last stepper in the block's history, and rate that
     step h times the block's :func:`_coupling_rate` r when it stopped.
-    Until a stepper has run, h0 is None and rate is _STEP_RATE, a guess: at
-    rel_tol 1e-10, h r stayed at 0.34 to 0.41 on random blocks and 0.50 to
-    0.60 on spin-boson chains, so the guess overcounts a chain's steps.  A
-    block that is not stepping predicts its step as rate / r.  If its
-    couplings connect all N rows, s <= (N - 1 + M) r for the Gershgorin
-    spread s: a path of at most N - 1 couplings joins the extreme diagonal
-    entries, and every radius is at most M r / 2.  So at the default
-    rel_tol the guess makes every such block of at most 32 rows jump.
+    Until a stepper has run, h0 is None and rate is _STEP_RATE, a guess.
+    Measured at rel_tol 1e-10 with steps only, seed 0, N = 128 to 400
+    (10th to 90th percentile over deflation scans), h r stayed at 0.47 to
+    0.56 on random tridiagonals, 0.37 to 0.48 on random M = 3 blocks and
+    0.66 to 0.80 on spin-boson chains, so the guess overcounts the steps of
+    every block but the random M = 3 ones.  A block that is not stepping
+    predicts its step as rate / r.  If its couplings connect all N rows,
+    s <= (N - 1 + M) r for the Gershgorin spread s: a path of at most
+    N - 1 couplings joins the extreme diagonal entries, and every radius is
+    at most M r / 2.  So at the default rel_tol the guess makes every such
+    block of at most 32 rows jump.
     """
 
     start: int
@@ -519,14 +522,17 @@ class _BandedFlow:
     flow in closed form.  A larger block advances in one loop, one exact
     QR jump or one DOP853 step a pass, as :func:`_jumps_pay` chooses from
     the block's state: when the block starts, at every deflation scan while
-    it steps (from the stepper's step) and at every landing while it jumps
-    (from the h r its last stepper ran at, if it had one).  It switches in
-    place: a stepper that hands over to jumps is dropped, keeping its step
-    h and h r, and a block that hands back to steps builds a new stepper
-    that starts at that h.  Under the automatic ell_max a 2x2 block runs to
-    its convergence ell even past the cap.  Wegner's generator, whose input
-    arrives widened to M = N - 1, integrates the whole matrix as one
-    undeflated system.
+    it steps and at every landing while it jumps (from the h r its last
+    stepper ran at, if it had one).  A scan judges by the longer of the
+    stepper's next step and the mean step of its run so far: the step dips
+    for a few steps where a pair turns, and a block near the crossover
+    judged by the dip alone would hand over for a single jump and back.
+    It switches in place: a stepper that hands over to jumps is dropped,
+    keeping its step h and the h r it was judged by, and a block that hands
+    back to steps builds a new stepper that starts at that h.  Under the
+    automatic ell_max a 2x2 block runs to its convergence ell even past the
+    cap.  Wegner's generator, whose input arrives widened to M = N - 1,
+    integrates the whole matrix as one undeflated system.
 
     Each block's state is its row array flattened; the assembled final and
     snapshot matrices are (M+1) x N row arrays.  A block writes its column
@@ -654,14 +660,14 @@ class _BandedFlow:
         d = e[0]
         spread = float(d.max() - d.min())
         cap = max(self.theta_sq, self.shift_budget * (spread + 1.0))
-        if not np.any(cr <= cap):
+        if not (cr <= cap).any():
             return []
         radii = _gershgorin_radii(e)
         hi = np.maximum.accumulate(d + radii)  # spectral ceiling of 0..c-1
         lo = np.minimum.accumulate((d - radii)[::-1])[::-1]  # floor of c..nb-1
         sep = lo[1:] - hi[:-1]  # per cut c = 1..nb-1
         ordered = sep >= -self.order_slack
-        if np.any(~ordered & (cr == 0.0)):  # only there can nothing cross
+        if (~ordered & (cr == 0.0)).any():  # only there can nothing cross
             ordered |= uncoupled_cuts(e)
         weyl = cr <= self.theta_sq
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -719,15 +725,15 @@ class _BandedFlow:
         max_tr = 0.0
         max_fr = 0.0
         max_pt = 0.0
-        prev_cum = np.cumsum(y0[:nb])
+        prev_cum = y0[:nb].cumsum()
 
         def track(y: np.ndarray) -> None:
             nonlocal max_tr, max_fr, max_pt, prev_cum
             diag = y[:nb]
             max_tr = max(max_tr, abs(float(diag.sum()) - trace0))
             max_fr = max(max_fr, abs(frob(y) ** 2 - frob0_sq_b))
-            cum = np.cumsum(diag)
-            max_pt = max(max_pt, float(np.max(cum - prev_cum)))
+            cum = diag.cumsum()  # ndarray methods: no fromnumeric wrappers per state
+            max_pt = max(max_pt, float((cum - prev_cum).max()))
             prev_cum = cum
 
         def close_run(y: np.ndarray, stepper=None) -> None:
@@ -840,11 +846,12 @@ class _BandedFlow:
 
         # The block advances by one jump or one step a pass.  stepper is None
         # while it jumps; h and rate are the step size and h r of the last
-        # stepper in its history (see _Task).
+        # stepper in its history (see _Task); the current run of jumps or
+        # steps started at run_ell.
         ell, y, h, rate = task.ell, y0, task.h0, task.rate
-        stepper = None
+        stepper, run_ell = None, ell
         if not self.wegner and _jumps_pay(task.rows, span, rate / _coupling_rate(task.rows)):
-            pattern, status, run_ell = flow_slots(y), check(y), ell
+            pattern, status = flow_slots(y), check(y)
         else:
             stepper, since_scan = start_stepper(ell, y, h), 0
         while True:
@@ -856,14 +863,16 @@ class _BandedFlow:
                     break
                 if ell > run_ell and not _jumps_pay(e, span, rate / _coupling_rate(e)):
                     close_run(y)  # steps pay now
-                    stepper, since_scan = start_stepper(ell, y, h), 0
+                    stepper, since_scan, run_ell = start_stepper(ell, y, h), 0, ell
             elif since_scan == _DEFLATE_EVERY:  # a scan: cuts, then the choice
                 since_scan = 0
                 cuts = self._deflation_cuts(e)
                 if cuts:
                     break
-                if not self.wegner and _jumps_pay(e, span, stepper.h):
-                    h, rate = stepper.h, stepper.h * _coupling_rate(e)
+                # a dip of the step alone does not hand the block over
+                step = max(stepper.h, (ell - run_ell) / stepper.n_accepted)
+                if not self.wegner and _jumps_pay(e, span, step):
+                    h, rate = stepper.h, step * _coupling_rate(e)
                     close_run(y, stepper)
                     stepper, pattern, status, run_ell = None, flow_slots(y), check(y), ell
                     continue

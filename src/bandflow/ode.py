@@ -23,6 +23,22 @@ against 66 + 36 rows for the plain sums (16 of whose weights are zero).
 The per-stage slices and weights are built once at import from ``_A``,
 ``_B``, ``_E5`` and ``_E3``; the 11 stage weight vectors sit in one
 zero-padded (11, 13) matrix, so a step scales them all by h in one product.
+
+The step size follows DOP853's own I-controller (Hairer, Norsett & Wanner,
+section II.4, and the DOP853 code's defaults): after an accepted step the
+next is h * 0.9 (err / tol)^(-1/8), at most 5 times longer, and never
+longer than the accepted step when the same call rejected an attempt; a
+rejected attempt is retried at h * max(0.2, 0.9 (err / tol)^(-1/8)).  On a
+smooth flow it settles where err / tol = 0.9^8 = 0.43.  It replaced a PI
+controller that paired Gustafsson's gains (0.7/8 and 0.4/8) with the same
+safety factor 0.9: that one settles at err / tol = 0.9^(1 / (0.3/8)) = 0.06,
+and on the fig1 flows accepted steps sat at a median err / tol of 0.04, so
+every step was about a quarter shorter than the tolerance allows.  PI
+control damps the step-size oscillation of stability-limited steps; the
+fig1 flows are accuracy-limited and reject no step under either controller,
+and the I-controller takes a quarter fewer steps there at the same accept
+test.  The Lipkin chains, whose long blocks run near the stability limit,
+take about as many steps as before and reject about 2 attempts in 100.
 """
 
 from __future__ import annotations
@@ -166,8 +182,6 @@ _H_MIN = 16.0 * np.finfo(float).eps  # smallest step, relative to max(|t|, 1)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_ALPHA = 0.7 / 8.0  # PI controller exponents (Gustafsson)
-_BETA = 0.4 / 8.0
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -179,7 +193,7 @@ class StepSizeUnderflow(RuntimeError):
 
 
 class Dop853:
-    """Resumable DOP853 stepper with PI step-size control.
+    """Resumable DOP853 stepper with DOP853's I step-size control.
 
     ``fun(t, y, out)`` writes dy/dt at (t, y) into ``out`` and returns
     nothing.  Each attempted step costs 12 evaluations of ``fun``: 11 new
@@ -192,7 +206,9 @@ class Dop853:
     where ``scale`` defaults to the Euclidean norm of the state.  ``step``
     advances exactly one accepted step, clipped so it never crosses the
     supplied cap; hitting the cap exactly is how callers land on snapshot
-    times.
+    times.  ``h`` is the next attempt: 0.9 (err / tol)^(-1/8) times the
+    accepted step, at most 5 times it, and no longer than it if the call
+    rejected an attempt; a clipped step leaves a longer plan in place.
 
     The stepper keeps three buffers across steps: the (13, n) stage matrix
     in ``_ROW`` order (the FSAL carry sits in stage 0's row), one n-vector
@@ -233,7 +249,6 @@ class Dop853:
         self._yi = np.empty(self.y.size)  # stage arguments
         self._dy = np.empty((3, self.y.size))  # y_new - y, e5 and e3
         self._wf = _FINAL_ROWS[2].copy()  # the final weights, row 0 times h
-        self._err_prev = 1.0
         if first_step is not None:
             if not first_step > 0.0:
                 raise ValueError("first_step must be positive")
@@ -266,6 +281,7 @@ class Dop853:
             raise ValueError("t_cap must exceed current time")
         k, y, t, fun, yi, dy, wf = self._k, self.y, self.t, self.fun, self._yi, self._dy, self._wf
         lo_f, hi_f, w_f = _FINAL_ROWS
+        rejected = False
         while True:
             h = self.h
             if not h > _H_MIN * max(abs(t), 1.0):  # NaN too
@@ -291,18 +307,18 @@ class Dop853:
             err = abs(h) * e5_sq / math.sqrt(denom) if denom > 0.0 else 0.0
             tol = self._tol(y_new)
             ratio = err / tol if tol > 0 else math.inf
+            factor = _SAFETY * max(ratio, 1e-10) ** -0.125
 
             if ratio <= 1.0:
                 self.t = t_cap if clipped else t + h
                 self.y = y_new
                 k[_ROW[0]] = k[_STAGES]
                 self.n_accepted += 1
-                r = max(ratio, 1e-10)
-                factor = _SAFETY * r ** (-_ALPHA) * self._err_prev**_BETA
-                self._err_prev = r
-                h_next = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                # after a rejection the step may not grow
+                h_next = h * min(factor, 1.0 if rejected else _MAX_FACTOR)
                 # a clipped step must not shrink the controller's plan
                 self.h = max(self.h, h_next) if clipped else h_next
                 return
             self.n_rejected += 1
-            self.h = h * max(_MIN_FACTOR, _SAFETY * ratio**-0.125)
+            rejected = True
+            self.h = h * max(_MIN_FACTOR, factor)

@@ -202,6 +202,19 @@ class TestSpectrumCommand:
         capsys.readouterr()
         assert rc == 3
 
+    def test_levels_past_the_end_exit_3(self, capsys):
+        # 2J+1 = 3 levels: the first level past the end is named, before any flow
+        rc = main(["spectrum", "--model", "lipkin", "--two-j", "2", "--levels", "1,2-1000"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: level 3 out of range for 3 levels\n"
+
+    def test_parse_levels(self):
+        assert cli._parse_levels("0-2, 1,5-3,7") == [0, 1, 2, 7]
+        assert cli._parse_levels("4-10", count=11) == list(range(4, 11))
+        for text in ("", "5-3", "-3", "1,-2"):
+            with pytest.raises(ValueError, match="invalid level list"):
+                cli._parse_levels(text)
+
     def test_truncation_failure_exit_4(self, capsys):
         rc = main([
             "spectrum", "--model", "spinboson", "--delta", "0", "--lambda", "6",
@@ -386,7 +399,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["flow", "{m}"], id="flow"),
-        pytest.param(["spectrum", "--model", "lipkin"], id="spectrum"),
+        # levels inside 2J+1 = 3: they are checked before any flow runs
+        pytest.param(["spectrum", "--model", "lipkin", "--levels", "0-2"], id="spectrum"),
         pytest.param(["fig1", "--n-list", "2", "--grid-points", "2"], id="fig1"),
         pytest.param(["compare-generators"], id="compare-generators"),
     ])
@@ -418,9 +432,10 @@ class TestExitCodes:
         # 2J+1 = 1e9 + 1 levels: each parity block's diagonal takes 4 GB
         pytest.param(["spectrum", "--model", "lipkin", "--two-j", "1000000000", "--levels", "0"],
                      "allocate", id="spectrum-lipkin"),
-        # a level range of 1e10 entries: Python's own MemoryError carries no message
+        # a level range of 1e10 entries past 2J+1 = 3 levels is refused
+        # before any list of levels is built
         pytest.param(["spectrum", "--model", "lipkin", "--levels", "0-10000000000"],
-                     "MemoryError", id="spectrum-levels"),
+                     "level 3 out of range for 3 levels", id="spectrum-levels"),
     ])
     def test_oversized_header(self, tmp_path, argv, fragment):
         # under a 2 GiB address-space limit each input's allocation fails,

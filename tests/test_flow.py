@@ -298,6 +298,63 @@ class TestStepper:
         assert info.value.t == pytest.approx(1.0, abs=1e-6)
 
 
+def run_controlled(stepper, t_end):
+    """Step to t_end.  Returns, per step call, the attempt it started with
+    (the controller's plan), the step it accepted, the plan it left, whether
+    it rejected an attempt, and err / tol of the accepted step, recomputed
+    from the stepper's kept error block as the accept test forms it."""
+    calls = []
+    while stepper.t < t_end:
+        t, plan, rejected = stepper.t, stepper.h, stepper.n_rejected
+        stepper.step(t_end)
+        h = stepper.t - t
+        e5_sq, e3_sq = (float(np.dot(e, e)) for e in stepper._dy[1:])
+        err = h * e5_sq / math.sqrt(e5_sq + 0.01 * e3_sq) if e5_sq + e3_sq > 0.0 else 0.0
+        tol = stepper.abs_tol + stepper.rel_tol * float(np.linalg.norm(stepper.y))
+        calls.append((plan, h, stepper.h, stepper.n_rejected > rejected, err / tol))
+    return calls
+
+
+class TestController:
+    """DOP853's I-controller: after an accepted step the factor is
+    0.9 (err / tol)^(-1/8), so a smooth flow settles near err / tol = 0.9^8."""
+
+    def test_set_point_on_smooth_decay(self):
+        # y' = -a y with rates from 0.1 to 1: the steps settle where the
+        # controller aims, not at a fraction of the tolerance
+        a = np.linspace(0.1, 1.0, 20)
+        stepper = Dop853(lambda t, y, out: np.multiply(-a, y, out=out), 0.0, np.ones(20))
+        calls = run_controlled(stepper, 30.0)
+        ratios = [c[4] for c in calls]
+        assert stepper.n_rejected == 0 and len(ratios) > 20
+        assert 0.2 <= float(np.median(ratios)) <= 0.9
+        assert max(ratios) <= 1.0
+
+    def test_no_growth_after_a_rejection(self):
+        # y' = y / (1 - t) steepens toward t = 1, so attempts get rejected;
+        # the step accepted after a rejection is no longer than the attempt
+        # rejected, and the step planned after it no longer than itself
+        def rhs(t, y, out):
+            np.divide(y, 1.0 - t, out=out)
+
+        stepper = Dop853(rhs, 0.0, np.array([1.0]))
+        calls = run_controlled(stepper, 0.999)
+        rejected = [c for c in calls if c[3]]
+        assert len(rejected) >= 3
+        for plan, h, next_plan, _r, _ratio in rejected:
+            assert h <= plan
+            assert next_plan <= h + math.ulp(1.0)  # h is read back from t
+        assert all(c[4] <= 1.0 for c in calls)
+
+    def test_first_step_too_long(self):
+        # a first attempt of 5 on y' = -y is rejected and the step shrinks;
+        # however small its error, the accepted step does not grow the plan
+        stepper = Dop853(decay, 0.0, np.array([1.0]), first_step=5.0)
+        ((plan, h, next_plan, rejected, ratio),) = run_controlled(stepper, 1e-9 + 5.0)[:1]
+        assert rejected and h < plan == 5.0 and ratio <= 1.0
+        assert next_plan <= h + math.ulp(5.0)
+
+
 class TestGenerators:
     def test_eta_two_level(self):
         eta = mielke_eta(make_banded(2, 1, {(0, 1): 1.0}))
@@ -1133,7 +1190,7 @@ class TestQRJumps:
             return calls[-1][2]
 
         monkeypatch.setattr(flow, "_jumps_pay", spy)
-        h = random_banded(0, 128, 1)  # one block throughout (see the test after next)
+        h = random_banded(0, 128, 2)  # one block throughout (see the test after next)
         integrate_flow(h, FlowConfig(convergence_tol=1e-30, ell_max=64.0 / gershgorin_spread(h)))
         assert not calls[0][2]
         k = next(i for i, c in enumerate(calls) if c[2])  # the stepper hands over
@@ -1154,9 +1211,9 @@ class TestQRJumps:
         assert stats.n_deflations == 0 and stats.n_jumps >= 1 and stats.n_tasks == 1
 
     def test_random_hands_steps_to_jumps(self):
-        # a random tridiagonal of 128 rows sits near the crossover: its one
+        # a random pentadiagonal of 128 rows sits near the crossover: its one
         # block starts with steps and hands over to jumps
-        h = random_banded(0, 128, 1)
+        h = random_banded(0, 128, 2)
         assert not jumps_pay_at_start(h.rows())
         stats = assert_jumps_match_stepper(h)
         assert stats.n_deflations == 0 and stats.n_jumps >= 1 and stats.n_tasks == 1
