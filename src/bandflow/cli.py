@@ -189,7 +189,10 @@ def _rel_err(approx: float | None, ref: float) -> float | None:
 
 def _spectrum_lipkin(args) -> tuple[list, int]:
     params = LipkinParams(xi0=args.xi0, v0=args.v0, two_j=args.two_j)
-    levels = _parse_levels(args.levels, params.two_j + 1)
+    if args.levels is None:
+        levels = list(range(min(6, params.two_j + 1)))
+    else:
+        levels = _parse_levels(args.levels, params.two_j + 1)
     block_a, block_b = models.build_lipkin_blocks(params)
     status = EXIT_OK
     flows = []
@@ -221,7 +224,7 @@ def _spectrum_lipkin(args) -> tuple[list, int]:
 
 
 def _spectrum_spinboson(args) -> tuple[list, int]:
-    levels = _parse_levels(args.levels)
+    levels = _parse_levels("0-5" if args.levels is None else args.levels)
     n_max = levels[-1]
     base = SpinBosonParams(delta=args.delta, lam=args.lam, omega=args.omega, branch=args.branch)
     base = dataclasses.replace(  # the truncation rule reads validated parameters
@@ -390,7 +393,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="model spectrum report: flow vs oracle vs formulas", **kw)
     p.add_argument("--model", choices=["lipkin", "spinboson"], required=True)
-    p.add_argument("--levels", default="0-5", help="levels, e.g. '0-5' or '0,2,10'")
+    p.add_argument("--levels", default=None,
+                   help="levels, e.g. '0-5' or '0,2,10' (default: 0-5, or for lipkin the "
+                        "first min(6, 2J+1))")
     p.add_argument("--xi0", type=float, default=1.0)
     p.add_argument("--v0", type=float, default=0.0)
     p.add_argument("--two-j", type=int, default=2, help="twice the pseudo-spin")

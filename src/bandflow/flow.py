@@ -26,9 +26,11 @@ and the blocks continue independently, each with its own step size.  The
 total perturbation is kept below half the convergence tolerance.
 
 The integrator is the DOP853 pair (see :mod:`bandflow.ode`).  It replaced
-Dormand-Prince 5(4) because at the default rel_tol of 1e-10 the step is
-limited by accuracy, not stability, so the 8th-order step needs about a
-quarter of the steps and half the RHS evaluations per flow.  Deflation
+Dormand-Prince 5(4) because on the spin-boson chains at the default
+rel_tol of 1e-10 the step is limited by accuracy, not stability, so the
+8th-order step needs about a quarter of the steps and half the RHS
+evaluations per flow.  On long Lipkin blocks the early transient is
+limited by stability instead (see :mod:`bandflow.ode`).  Deflation
 splits off 2x2 blocks more than any other size, and the sign flow of a
 2x2 block (the Toda flow of a pair) has an exact solution, so such blocks
 are evaluated in closed form and build no stepper.  The sign flow of any

@@ -250,23 +250,26 @@ def certify_truncation(
 ) -> SpinBosonParams:
     """Double n_trunc until the reported levels stop moving.
 
-    The lowest n_report+1 eigenvalues must change by less than the fixed
-    tolerance 1e-8 * omega when the dimension doubles; returns params with
-    the certified n_trunc.  Only those n_report+1 eigenvalues are solved
-    for at each dimension.
+    n_trunc = N is certified when each of the lowest k = n_report+1
+    eigenvalues of the 2N chain lies within the fixed tolerance
+    tol = 1e-8 * omega of the same level of the N chain: the oracle
+    solves for the N chain's k levels ev_i only, and one Sturm sweep on
+    the 2N chain checks every bracket [ev_i - tol, ev_i + tol)
+    (:func:`oracle.brackets_hold`).  Otherwise N doubles, up to max_dim;
+    returns params with the certified n_trunc.
     """
     if not (isinstance(n_report, (int, np.integer)) and not isinstance(n_report, bool)
             and n_report >= 0):
         raise ValueError(f"n_report must be an integer >= 0, got {n_report!r}")
     n_dim = max(params.n_trunc, n_report + 2)
     k = n_report + 1
+    tol = 1e-8 * params.omega
     while n_dim <= max_dim:
         p1 = dataclasses.replace(params, n_trunc=n_dim)
-        p2 = dataclasses.replace(params, n_trunc=2 * n_dim)
-        h1, h2 = build_spinboson(p1), build_spinboson(p2)
+        h1 = build_spinboson(p1)
+        h2 = build_spinboson(dataclasses.replace(params, n_trunc=2 * n_dim))
         ev1 = oracle.eigenvalues_tridiag(h1.band(0), h1.band(1), k=k).eigenvalues
-        ev2 = oracle.eigenvalues_tridiag(h2.band(0), h2.band(1), k=k).eigenvalues
-        if np.max(np.abs(ev1 - ev2)) < 1e-8 * params.omega:
+        if oracle.brackets_hold(h2.band(0), h2.band(1), ev1 - tol, ev1 + tol).all():
             return p1
         n_dim *= 2
     raise TruncationError(

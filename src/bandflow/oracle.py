@@ -17,10 +17,10 @@ can turn negative (see :func:`sturm_count`), so on a chain whose diagonal
 rises, as the spin-boson chains' does, a lowest-k solve costs the rows
 that can hold its k levels, not N: the lowest 21 levels of the fig1 chain
 take 5 sweeps of 51 to 78 rows each, at N = 200 and at N = 400 alike.
-Both solvers run on the input divided by 2^e, 2^e the binary exponent of
-its largest entry, and map the result back exactly, so their results
-scale bit for bit with any power of two and do not overflow or underflow
-at entries of 1e200 or 1e-200.
+Both solvers, and the bracket test :func:`brackets_hold`, run on the input
+divided by 2^e, 2^e the binary exponent of its largest entry, and map the
+result back exactly, so their results scale bit for bit with any power of
+two and do not overflow or underflow at entries of 1e200 or 1e-200.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpectrumResult", "eigenvalues_tridiag", "eigenvalues_dense"]
+__all__ = ["SpectrumResult", "eigenvalues_tridiag", "brackets_hold", "eigenvalues_dense"]
 
 _DENSE_CAP = 512
 # Shifts per multisection pass (at least N).  Below a few thousand shifts a
@@ -187,6 +187,40 @@ def eigenvalues_tridiag(diag, offdiag, k=None) -> SpectrumResult:
     return SpectrumResult(np.ldexp(np.sort(eig), e), float(np.ldexp(tol, e)))
 
 
+def brackets_hold(diag, offdiag, lo, hi) -> np.ndarray:
+    """Whether the i-th lowest eigenvalue of a symmetric tridiagonal matrix
+    lies in [lo[i], hi[i]), for each i < k = len(lo), by one Sturm sweep.
+
+    Eigenvalue i (0-based, ascending) lies in [lo, hi) exactly when fewer
+    than i + 1 eigenvalues lie below lo and more than i lie below hi, so
+    bracket i holds when ``count(lo[i]) <= i < count(hi[i])``.  One
+    :func:`sturm_count` sweep counts all 2k ends, and it stops at the rows
+    that can hold eigenvalues below max(hi), not at N.  Like the solvers it
+    runs on the input divided by 2^e, 2^e the binary exponent of the
+    largest matrix entry, so b^2 cannot overflow or underflow.
+    """
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    n = diag.shape[0]
+    if offdiag.shape != (max(n - 1, 0),):
+        raise ValueError(f"offdiag must have length {n - 1}, got {offdiag.shape}")
+    if lo.ndim != 1 or lo.shape != hi.shape or lo.shape[0] > n:
+        raise ValueError(f"lo and hi must have one equal length <= N = {n}, "
+                         f"got {lo.shape} and {hi.shape}")
+    if not all(np.all(np.isfinite(a)) for a in (diag, offdiag, lo, hi)):
+        raise ValueError("non-finite entry in tridiagonal input or brackets")
+    k = lo.shape[0]
+    if k == 0:
+        return np.zeros(0, dtype=bool)
+    e = _binary_exponent(diag, offdiag)
+    diag, offdiag = np.ldexp(diag, -e), np.ldexp(offdiag, -e)
+    count = sturm_count(diag, offdiag * offdiag, np.ldexp(np.concatenate((lo, hi)), -e))
+    i = np.arange(k)
+    return (count[:k] <= i) & (i < count[k:])
+
+
 def _lowest_k_ceiling(diag: np.ndarray, offdiag: np.ndarray, k: int) -> float:
     """Top Gershgorin edge of the principal submatrix on the k smallest
     diagonal entries: an upper bound on the k-th smallest eigenvalue, by
@@ -208,7 +242,7 @@ def _radius(coupling: np.ndarray) -> np.ndarray:
 
 def _binary_exponent(*arrays) -> int:
     """e such that the largest |entry| / 2^e lies in [0.5, 1) (0 if all are 0)."""
-    return int(np.frexp(max(float(np.max(np.abs(a))) for a in arrays))[1])
+    return int(np.frexp(max(float(np.max(np.abs(a), initial=0.0)) for a in arrays))[1])
 
 
 def eigenvalues_dense(matrix) -> SpectrumResult:

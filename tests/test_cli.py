@@ -208,6 +208,24 @@ class TestSpectrumCommand:
         assert rc == 3
         assert capsys.readouterr().err == "error: level 3 out of range for 3 levels\n"
 
+    def test_lipkin_default_levels(self, tmp_path, capsys):
+        # the default spin 1 has 2J+1 = 3 levels: all are reported; spin 3
+        # has 7, of which the first 6 are
+        for two_j, count in ((2, 3), (6, 6)):
+            out_path = tmp_path / f"s{two_j}.csv"
+            rc = main(["spectrum", "--model", "lipkin", "--two-j", str(two_j),
+                       "--out", str(out_path)])
+            assert rc == 0
+            assert capsys.readouterr().err == ""
+            _header, rows = parse_csv(out_path.read_text())
+            assert [int(r[0]) for r in rows] == list(range(count))
+
+    def test_lipkin_explicit_default_range_exit_3(self, capsys):
+        # the spin-boson default, given explicitly, is still checked against 2J+1
+        rc = main(["spectrum", "--model", "lipkin", "--levels", "0-5"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: level 3 out of range for 3 levels\n"
+
     def test_parse_levels(self):
         assert cli._parse_levels("0-2, 1,5-3,7") == [0, 1, 2, 7]
         assert cli._parse_levels("4-10", count=11) == list(range(4, 11))

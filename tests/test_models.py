@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bandflow.flow import FlowConfig, integrate_flow
 from bandflow.models import (
@@ -216,6 +218,73 @@ class TestTruncation:
                 break
             n_dim *= 2
         assert certify_truncation(base, n_report).n_trunc == n_dim
+
+    @staticmethod
+    def two_solve_rule(params, n_report, max_dim):
+        """The rule certify_truncation replaced: solve the lowest n_report+1
+        levels at N and at 2N and compare them.  Returns the certified N
+        (None if it would raise) and whether every comparison cleared the
+        tolerance by more than the two solves' error bounds."""
+        n_dim, k, tol = max(params.n_trunc, n_report + 2), n_report + 1, 1e-8 * params.omega
+        clear = True
+        while n_dim <= max_dim:
+            h1, h2 = (build_spinboson(dataclasses.replace(params, n_trunc=m))
+                      for m in (n_dim, 2 * n_dim))
+            r1, r2 = (eigenvalues_tridiag(h.band(0), h.band(1), k=k) for h in (h1, h2))
+            moved = np.max(np.abs(r1.eigenvalues - r2.eigenvalues))
+            clear &= abs(moved - tol) > r1.residual_bound + r2.residual_bound
+            if moved < tol:
+                return n_dim, clear
+            n_dim *= 2
+        return None, clear
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        delta=st.floats(0.0, 6.0),
+        lam=st.floats(0.1, 8.0),
+        omega=st.sampled_from([0.5, 1.0, 3.0]),
+        branch=st.sampled_from([+1, -1]),
+        n_trunc=st.integers(2, 120),
+        n_report=st.integers(0, 30),
+        max_dim=st.one_of(st.just(2048), st.integers(2, 2048)),
+    )
+    def test_certify_matches_two_solve_rule(self, delta, lam, omega, branch, n_trunc,
+                                            n_report, max_dim):
+        # starts that need several doublings, and max_dim values below the
+        # certified N, which raise
+        base = SpinBosonParams(delta=delta, lam=lam, omega=omega, branch=branch,
+                               n_trunc=n_trunc)
+        expect, clear = self.two_solve_rule(base, n_report, max_dim)
+        # where a solve's own error could flip the old comparison, the
+        # two-solve rule has no single answer to match
+        assume(clear)
+        if expect is None:
+            with pytest.raises(TruncationError, match="increase n_trunc"):
+                certify_truncation(base, n_report, max_dim=max_dim)
+        else:
+            assert certify_truncation(base, n_report, max_dim=max_dim).n_trunc == expect
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+    @pytest.mark.parametrize("delta, lam, branch, n_trunc, n_report, max_dim", [
+        (2.5, 4.0, +1, default_n_trunc(20, 4.0, 1.0), 20, 1 << 14),  # a fig1 chain
+        (5.0, 4.0, -1, 4, 20, 1 << 14),  # several doublings
+        (0.0, 8.0, +1, 2, 5, 1 << 14),
+        (0.0, 40.0, +1, 4, 3, 16),  # raises at every scale
+    ])
+    def test_certify_scale_covariant(self, scale, delta, lam, branch, n_trunc, n_report,
+                                     max_dim):
+        # omega, lam and delta scaled by 2^600 square the couplings past the
+        # float range, and by 2^-600 below it
+        def certified(c):
+            base = SpinBosonParams(delta=c * delta, lam=c * lam, omega=c * 1.0,
+                                   branch=branch, n_trunc=n_trunc)
+            try:
+                return certify_truncation(base, n_report, max_dim=max_dim).n_trunc
+            except TruncationError:
+                return None
+
+        assert certified(scale) == certified(1.0)
+        assert (certified(1.0) is None) == (max_dim == 16)
 
 
 class TestDelta0Flow:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandflow import models, oracle
-from bandflow.oracle import eigenvalues_dense, eigenvalues_tridiag, sturm_count
+from bandflow.oracle import brackets_hold, eigenvalues_dense, eigenvalues_tridiag, sturm_count
 
 SQRT3 = 1.7320508075688772
 EPS = np.finfo(float).eps
@@ -218,6 +218,88 @@ class TestSturmEarlyExit:
             got = sturm_count(d, off_sq, shifts)
         assert got.dtype == np.int64
         assert np.array_equal(got, reference_sturm_count(d, off_sq, shifts))
+
+
+class TestBracketsHold:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        zeros=st.sampled_from([0.0, 0.3, 1.0]),
+        twice=st.booleans(),
+        j=st.one_of(st.just(0), st.integers(-900, 900)),
+    )
+    def test_against_eigvalsh(self, seed, n, zeros, twice, j):
+        # exactly zero couplings; with twice, the direct sum of two equal
+        # blocks, whose every eigenvalue is repeated; at scales 2^j whose
+        # b^2 overflows or underflows the answer is that of scale 1
+        rng = np.random.default_rng(seed)
+        d = rng.integers(-3, 4, n).astype(float) if seed % 2 else rng.uniform(-1, 1, n)
+        e = np.where(rng.uniform(size=n - 1) < zeros, 0.0, rng.uniform(-1, 1, n - 1))
+        if twice:
+            d, e = np.concatenate((d, d)), np.concatenate((e, [0.0], e))
+        exact = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        # bracket ends lie between clusters of eigenvalues closer than the
+        # solvers' rounding, and below and above the spectrum
+        slack = 1e-10 * max(float(np.max(np.abs(exact))), 1.0)
+        gap = np.nonzero(np.diff(exact) > 4.0 * slack)[0]
+        cuts = np.concatenate(([exact[0] - 1.0], 0.5 * (exact[gap] + exact[gap + 1]),
+                               [exact[-1] + 1.0]))
+        cluster = np.searchsorted(cuts, exact) - 1  # eigenvalue i lies in [cuts[c], cuts[c+1])
+        k = int(rng.integers(0, exact.size + 1))
+        # per bracket: its own cluster, one cluster down or up (a miss by one
+        # eigenvalue unless the level is repeated across it), or wider
+        lo_c = cluster[:k] + rng.integers(-1, 2, k)
+        hi_c = lo_c + 1 + (rng.uniform(size=k) < 0.2)
+        lo_c, hi_c = np.clip(lo_c, 0, cuts.size - 1), np.clip(hi_c, 0, cuts.size - 1)
+        lo, hi = cuts[lo_c], cuts[hi_c]
+        expect = (lo <= exact[:k]) & (exact[:k] < hi)
+        assert np.array_equal(brackets_hold(d, e, lo, hi), expect)
+        got = brackets_hold(np.ldexp(d, j), np.ldexp(e, j), np.ldexp(lo, j), np.ldexp(hi, j))
+        assert np.array_equal(got, expect)
+
+    def test_miss_by_one(self):
+        # eigenvalues 1, 1, 3 and 5 (a zero coupling splits off the 1 x 1
+        # block [1]): a bracket around the next level misses unless it repeats
+        d, e = np.array([2.0, 2.0, 1.0, 5.0]), np.array([1.0, 0.0, 0.0])
+        assert brackets_hold(d, e, [0.5, 0.5, 2.5, 4.5], [1.5, 1.5, 3.5, 5.5]).tolist() == \
+            [True, True, True, True]
+        assert brackets_hold(d, e, [0.5, 2.5, 4.5], [1.5, 3.5, 5.5]).tolist() == \
+            [True, False, False]
+        assert brackets_hold(d, e, [2.5, 0.5], [3.5, 1.5]).tolist() == [False, True]
+        # [lo, hi): an eigenvalue at hi is outside, one at lo inside
+        assert brackets_hold([1.0], [], [1.0], [2.0]).tolist() == [True]
+        assert brackets_hold([1.0], [], [0.0], [1.0]).tolist() == [False]
+
+    def test_one_sweep_through_the_module(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return sturm_count(*args)
+
+        monkeypatch.setattr(oracle, "sturm_count", counted)
+        d, e = random_tridiag(3, 40)
+        ev = eigenvalues_tridiag(d, e, k=5).eigenvalues
+        calls.clear()
+        assert brackets_hold(d, e, ev - 1e-8, ev + 1e-8).all()
+        assert calls == [10]
+
+    @pytest.mark.parametrize("args, match", [
+        (([1.0, 2.0], [1.0, 0.0], [0.0], [1.0]), "offdiag"),
+        (([1.0, 2.0], [1.0], [0.0, 1.0], [1.0]), "equal length"),
+        (([1.0, 2.0], [1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), "equal length"),
+        (([1.0, 2.0], [1.0], [[0.0]], [[1.0]]), "equal length"),
+        (([1.0, math.nan], [1.0], [0.0], [1.0]), "non-finite"),
+        (([1.0, 2.0], [1.0], [-math.inf], [1.0]), "non-finite"),
+    ])
+    def test_rejects_bad_input(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            brackets_hold(*args)
+
+    def test_no_brackets(self):
+        assert brackets_hold([], [], [], []).shape == (0,)
+        assert brackets_hold([1.0, 2.0], [1.0], [], []).dtype == bool
 
 
 class TestExtremeScale:
