@@ -56,6 +56,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+class _DefaultsFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends an option's default to its help, unless the default is None:
+    such help states what happens without the option itself."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -231,12 +241,12 @@ def _spectrum_spinboson(args) -> tuple[list, int]:
         base, n_trunc=models.default_n_trunc(n_max, base.lam, base.omega)
         if args.n_trunc is None else args.n_trunc
     )
-    params = models.certify_truncation(base, n_max, max_dim=args.n_trunc_max)
+    # the oracle's levels are the ones certification solved the chain for
+    params, ev = models._certify(base, n_max, max_dim=args.n_trunc_max)
     h = models.build_spinboson(params)
     result = integrate_flow(h, _flow_config(args))
     status = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     eps_flow = result.final.diagonal()
-    ev = eigenvalues_tridiag(h.band(0), h.band(1), k=n_max + 1).eigenvalues
     rows = []
     for n in levels:
         asym1 = asym2 = cond_f = cond_order = None
@@ -380,7 +390,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bandflow", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    kw = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    kw = dict(formatter_class=_DefaultsFormatter)
 
     p = sub.add_parser("flow", help="flow a matrix file to diagonal form", **kw)
     p.add_argument("matrix", help="matrix file ('bandmat N M' header, 'n m value' lines)")

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import sys
 from collections import deque
@@ -185,8 +186,9 @@ class FlowStats:
     n_jumps the exact QR jumps that advance sign-flow blocks of 3 or more
     rows, neither of which builds a stepper (blocks that arrive converged
     cost nothing and count nowhere).  n_deflations counts block boundaries
-    zeroed.  Every attempted step costs 12 RHS evaluations, every stepper
-    one more, and every automatic initial-step estimate one more.  A
+    zeroed.  Each stepper counts its own RHS evaluations (n_rhs sums them):
+    every attempted step costs 12, every stepper one more, and every
+    automatic initial-step estimate one more.  A
     stepper estimates its first step only if no stepper ran before it in
     its block's history: blocks split off, and blocks that switch from
     jumps back to steps, start at the last step size.  So an irreducible
@@ -296,16 +298,22 @@ def wegner_rhs(h_dense: np.ndarray) -> np.ndarray:
 # -- integration ---------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _band_slots(n: int, rows: int):
     """The slots of a flattened rows x n row array inside the matrix, and
-    the (i, j) of each: slot k*n + i holds h_{i,i+k}."""
+    the (i, j) of each: slot k*n + i holds h_{i,i+k}.  Cached per shape,
+    so the arrays are read-only."""
     k, i = np.divmod(np.arange(rows * n), n)
     slots = np.flatnonzero(i + k < n)
-    return slots, i[slots], i[slots] + k[slots]
+    out = slots, i[slots], i[slots] + k[slots]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _wegner_band_rhs(n: int):
-    """Wegner's dH/dl on the flattened N x N row array of a full-band matrix.
+    """Wegner's dH/dl on the flattened N x N row array of a full-band
+    matrix, as the stepper calls it: fun(ell, y, out).
 
     Scatters the state into a dense symmetric matrix, evaluates
     :func:`wegner_rhs` and gathers its upper triangle back into out, so the
@@ -315,7 +323,7 @@ def _wegner_band_rhs(n: int):
     slots, rows, cols = _band_slots(n, n)
     h = np.zeros((n, n))
 
-    def rhs(y: np.ndarray, out: np.ndarray) -> None:
+    def rhs(_ell: float, y: np.ndarray, out: np.ndarray) -> None:
         h[rows, cols] = h[cols, rows] = y[slots]
         out[slots] = wegner_rhs(h)[rows, cols]
 
@@ -361,8 +369,8 @@ def _coupling_rate(rows: np.ndarray) -> float:
     return rate
 
 
-def _jumps_pay(rows: np.ndarray, span: float, step: float) -> bool:
-    """Whether exact QR jumps beat DOP853 steps for the sign-flow block rows.
+def _jumps_pay(state: _State, span: float, step: float) -> bool:
+    """Whether exact QR jumps beat DOP853 steps for a sign-flow block in state.
 
     Weighs the steps a stepper of step size step takes over one jump span,
     span / (s step) for the block's Gershgorin spread s, against the cost
@@ -374,15 +382,14 @@ def _jumps_pay(rows: np.ndarray, span: float, step: float) -> bool:
     of that many steps, so the estimate leans toward steps.  A block too
     large for a jump to pay at step _STEP_RATE / (2 s), the shortest that
     the guess of :class:`_Task` predicts (r <= 2 s), steps whatever its
-    step: about 160 to 200 rows.
+    step: about 160 to 200 rows.  s is asked of state only for a block
+    small enough that a jump can pay.
     """
-    mb, nb = rows.shape[0] - 1, rows.shape[1]
+    mb, nb = state.rows.shape[0] - 1, state.rows.shape[1]
     cost = (nb / _JUMP_ROWS) ** 3 * 4.0 / (mb + 1)
     if cost > 2.0 * span / _STEP_RATE:
         return False
-    radii = _gershgorin_radii(rows)
-    spread = float((rows[0] + radii).max() - (rows[0] - radii).min())
-    return span / (spread * step) >= cost
+    return span / (state.spread() * step) >= cost
 
 
 def _has_unsorted_pair(rows: np.ndarray) -> bool:
@@ -427,32 +434,42 @@ def _pair_flow(rows: np.ndarray, ell0: float, conv_off_sq: float):
     return state, ell0 + (math.acosh(max(x, 1.0)) - phi0) / r
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
+def _expm(a: np.ndarray):
     """exp(a) by scaling and squaring a degree-15 Taylor polynomial.
 
     a is divided by 2^j so that its 1-norm B is at most 1/2, where the
     dropped terms stay below 1e-18 relative.  The polynomial is evaluated by
     Paterson-Stockmeyer: its four cubic pieces in B at once, then Horner in
-    B^4 (six products in all); the result is squared j times.
+    B^4 (six products in all); the result is squared j times.  Returns
+    exp(a) and its last two squarings' inputs, exp(a / 2) and exp(a / 4)
+    (None where j < 1, j < 2): a / 2 scales by 2^(j - 1) to the same B, so
+    these are what this function returns for a / 2 and a / 4, bit for bit.
     """
     n = a.shape[0]
     norm = float(np.max(np.abs(a).sum(axis=0)))
-    j = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
-    b = a * 2.0**-j  # exact
-    b2 = b @ b
-    powers = np.stack((np.eye(n), b, b2, b2 @ b)).reshape(4, n * n)
-    pieces = (_TAYLOR_PIECES @ powers).reshape(4, n, n)
+    frac, exp = math.frexp(norm)  # norm = frac 2^exp, 1/2 <= frac < 1
+    j = max(0, exp if frac == 0.5 else exp + 1) if norm > 0.0 else 0
+    powers = np.empty((4, n, n))  # I, B, B^2, B^3
+    powers[0] = 0.0
+    powers[0].flat[:: n + 1] = 1.0
+    b, b2 = powers[1], powers[2]
+    np.multiply(a, 2.0**-j, out=b)  # exact
+    np.matmul(b, b, out=b2)
+    np.matmul(b2, b, out=powers[3])
+    pieces = (_TAYLOR_PIECES @ powers.reshape(4, n * n)).reshape(4, n, n)
     b4 = b2 @ b2
     e = pieces[0]
     for piece in pieces[1:]:
         e = e @ b4
         e += piece
+    half = quarter = None
     for _ in range(j):
+        quarter, half = half, e
         e = e @ e
-    return e
+    return e, half, quarter
 
 
-def _qr_jump(h: np.ndarray, dl: float, sigma: float) -> np.ndarray:
+def _qr_jump(h: np.ndarray, dl: float, sigma: float, expms: dict) -> np.ndarray:
     """Exact sign flow of the dense block h over dl: Q^T h Q.
 
     The sign flow is the symmetric QR (Toda) flow (Symes 1982; Deift, Nanda
@@ -461,8 +478,21 @@ def _qr_jump(h: np.ndarray, dl: float, sigma: float) -> np.ndarray:
     the centre of a Gershgorin interval of width s it keeps the
     exponential's eigenvalues in [e^{-dl s / 2}, e^{dl s / 2}].  Columns of
     Q are accurate to about u * cond(e^{-dl H}), u the unit roundoff.
+
+    expms maps a step to e^{-step (h - sigma)} for this h and sigma.  A
+    step found there costs no exponential; one that is not leaves its
+    exponential there, and the halves :func:`_expm` returns with it under
+    dl / 2 and dl / 4.
     """
-    e = _expm(-dl * (h - sigma * np.eye(h.shape[0])))
+    e = expms.get(dl)
+    if e is None:
+        a = h.copy()
+        a.flat[:: h.shape[0] + 1] -= sigma
+        a *= -dl
+        e, half, quarter = _expm(a)
+        for part, step in ((e, dl), (half, 0.5 * dl), (quarter, 0.25 * dl)):
+            if part is not None:
+                expms[step] = part
     q, r = np.linalg.qr(e)
     q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     return q.T @ h @ q
@@ -477,14 +507,19 @@ def _flow_pattern(h: np.ndarray) -> np.ndarray:
     envelope: some n' <= n of the component has a nonzero h_{n'j} with
     j >= m.  The stencil keeps every other entry exactly zero, and so does
     the exact flow (the QR algorithm preserves staircase shapes; Arbenz &
-    Golub 1995); the envelope lies inside the band.
+    Golub 1995); the envelope lies inside the band.  A block whose first
+    superdiagonal has no zero is one component, whose envelope is a running
+    maximum; any other block finds its components by boolean products.
     """
     n = h.shape[0]
     idx = np.arange(n)
+    last = np.max(np.where(h != 0.0, idx, idx[:, None]), axis=1)  # last nonzero column
+    if np.diagonal(h, 1).all():
+        keep = (idx >= idx[:, None]) & (idx <= np.maximum.accumulate(last)[:, None])
+        return keep | keep.T
     same = (h != 0.0) | np.eye(n, dtype=bool)
     for _ in range(math.ceil(math.log2(n))):  # joined by paths of length <= 2^i
         same = (same.astype(float) @ same) > 0.0
-    last = np.max(np.where(h != 0.0, idx, idx[:, None]), axis=1)  # last nonzero column
     reach = np.max(np.where(same & (idx[:, None] <= idx), last[:, None], -1), axis=0)
     keep = np.triu(same & (idx <= reach[:, None]))
     return keep | keep.T
@@ -515,6 +550,42 @@ class _Task:
     ell: float
     h0: float | None = None  # step size inherited across a split
     rate: float = _STEP_RATE
+
+
+class _State:
+    """One state y of a block, its flattened row array, and what the flow loop
+    reads off it, each taken at most once.
+
+    The squared norms of the diagonal and the off-diagonals are taken at
+    once: the stepper's error scale, the drift tracking and the convergence
+    check all read them.  The Gershgorin edges and the enclosure [lo, hi]
+    are taken when first asked for: a jump reads its span and shift from
+    them, a deflation scan its ordering test, and the choice between jumps
+    and steps the spread.  expms holds the exponentials that jumps from y
+    computed (see :func:`_qr_jump`).
+    """
+
+    __slots__ = ("y", "rows", "diag_sq", "off_sq", "expms", "_edges")
+
+    def __init__(self, y: np.ndarray, nb: int):
+        self.y = y
+        self.rows = y.reshape(-1, nb)
+        self.diag_sq = float(np.dot(y[:nb], y[:nb]))
+        self.off_sq = _off_sq(y, nb)
+        self.expms: dict = {}
+        self._edges = None
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """The Gershgorin edges d -+ radii of every row, then their min and max."""
+        if self._edges is None:
+            d, radii = self.rows[0], _gershgorin_radii(self.rows)
+            lo, hi = d - radii, d + radii
+            self._edges = lo, hi, float(lo.min()), float(hi.max())
+        return self._edges
+
+    def spread(self) -> float:
+        _, _, lo, hi = self.edges()
+        return hi - lo
 
 
 class _BandedFlow:
@@ -553,8 +624,16 @@ class _BandedFlow:
     step that does.  Before the first jump of a run and after each one,
     ell_max included, the block is checked for convergence, then scanned
     for deflation; a stepping block's scan comes every _DEFLATE_EVERY
-    steps, before its convergence check.  ell_final of a jumped block is
-    the landing ell of its first converged jump.
+    steps, before its convergence check.  A landing that may deflate where
+    the flow is growing a coupling is bisected back: each bisection jumps
+    half of the step that remains to the landing, exactly, so one from the
+    landing's own origin reuses an exponential that the landing's jump
+    kept (see :func:`_qr_jump`).  ell_final of a jumped block is the
+    landing ell of its first converged jump.
+
+    One per-state cache (:class:`_State`) holds what the loop reads off
+    the state last measured: its norms, its Gershgorin enclosure and the
+    exponentials jumps from it computed.
     """
 
     def __init__(self, h0: BandedSymmetricMatrix, config: FlowConfig):
@@ -640,8 +719,8 @@ class _BandedFlow:
         self._finish(start, e, ell, True)  # the queued pieces overwrite theirs
         self._push_blocks(tasks, e, start, cuts, ell, h, rate)
 
-    def _deflation_cuts(self, e: np.ndarray) -> list[int]:
-        """Boundaries of the block with rows e that may be zeroed now without
+    def _deflation_cuts(self, state: _State) -> list[int]:
+        """Boundaries of the block in state that may be zeroed now without
         leaving the error budget.
 
         A cut that no nonzero coupling crosses is always allowed: the flow
@@ -655,6 +734,7 @@ class _BandedFlow:
         ||B|| <= sep/4, with sep the certified spectral separation of the
         blocks.
         """
+        e = state.rows
         if self.wegner or e.shape[1] < 2:
             return []
         cr = boundary_coupling_sq(e)  # per cut c = 1..nb-1
@@ -664,9 +744,9 @@ class _BandedFlow:
         cap = max(self.theta_sq, self.shift_budget * (spread + 1.0))
         if not (cr <= cap).any():
             return []
-        radii = _gershgorin_radii(e)
-        hi = np.maximum.accumulate(d + radii)  # spectral ceiling of 0..c-1
-        lo = np.minimum.accumulate((d - radii)[::-1])[::-1]  # floor of c..nb-1
+        floors, ceilings = state.edges()[:2]
+        hi = np.maximum.accumulate(ceilings)  # spectral ceiling of 0..c-1
+        lo = np.minimum.accumulate(floors[::-1])[::-1]  # floor of c..nb-1
         sep = lo[1:] - hi[:-1]  # per cut c = 1..nb-1
         ordered = sep >= -self.order_slack
         if (~ordered & (cr == 0.0)).any():  # only there can nothing cross
@@ -708,19 +788,23 @@ class _BandedFlow:
         cfg = self.config
         mb, nb = task.rows.shape[0] - 1, task.rows.shape[1]
         y0 = task.rows.ravel()
-        # The state last measured, its diagonal's and its off-diagonals'
-        # squared norms: the stepper's scale, track and the convergence
-        # check all read an accepted state, so its norms are taken once.
-        norms = [None, 0.0, 0.0]
+        # The state last measured (see _State): the stepper's scale, track,
+        # the convergence check, the deflation scan, the choice between
+        # jumps and steps and a jump all read an accepted state.
+        last = None
+
+        def measured(y: np.ndarray) -> _State:
+            nonlocal last
+            if last is None or last.y is not y:
+                last = _State(y, nb)
+            return last
 
         def off_sq(y: np.ndarray) -> float:
-            if norms[0] is not y:
-                norms[:] = y, float(np.dot(y[:nb], y[:nb])), _off_sq(y, nb)
-            return norms[2]
+            return measured(y).off_sq
 
         def frob(y: np.ndarray) -> float:
-            off = off_sq(y)
-            return math.sqrt(norms[1] + off)
+            state = measured(y)
+            return math.sqrt(state.diag_sq + state.off_sq)
 
         trace0 = float(y0[:nb].sum())
         frob0_sq_b = frob(y0) ** 2
@@ -743,6 +827,7 @@ class _BandedFlow:
             its stepper's counts, to the flow's; the next run drifts from y."""
             nonlocal trace0, frob0_sq_b, max_tr, max_fr
             if stepper is not None:
+                self.n_rhs += stepper.n_rhs
                 self.n_accepted += stepper.n_accepted
                 self.n_rejected += stepper.n_rejected
             self.report.trace_drift += max_tr
@@ -776,7 +861,7 @@ class _BandedFlow:
             track(y)
             close_run(y)
             e, converged = y.reshape(2, 2), off_sq(y) <= self.conv_off_sq
-            cuts = [] if converged else self._deflation_cuts(e)
+            cuts = [] if converged else self._deflation_cuts(measured(y))
             if cuts:
                 self._split(tasks, task.start, e, cuts, end, task.h0, task.rate)
             else:
@@ -784,33 +869,35 @@ class _BandedFlow:
             return
 
         span = math.log(max(cfg.rel_tol / _UNIT_ROUNDOFF, math.e))
-        band, bi, bj = _band_slots(nb, mb + 1)
 
         def flow_slots(y: np.ndarray):
             """The slots that a run of jumps from y keeps, those its exact
             flow can fill, and the dense entries that the run drops."""
+            band, bi, bj = _band_slots(nb, mb + 1)
             h = np.zeros((nb, nb))
             h[bi, bj] = h[bj, bi] = y[band]
             dropped = ~_flow_pattern(h)
             kept = ~dropped[bi, bj]
             return band[kept], bi[kept], bj[kept], dropped
 
-        def jump(y: np.ndarray, ell: float, t_cap: float) -> tuple[float, np.ndarray]:
-            """Land one jump from state y at ell, at t_cap or short of it."""
+        def jump(state: _State, ell: float, t_cap: float,
+                 dl: float | None = None) -> tuple[float, np.ndarray, float]:
+            """Land one jump from state at ell, of dl (default: one span,
+            span / s) or at t_cap if that comes first; returns the landing
+            ell, the landing state's y and the step taken."""
             slots, ii, jj, dropped = pattern
             h = np.zeros((nb, nb))
-            h[ii, jj] = h[jj, ii] = y[slots]
-            e = y.reshape(mb + 1, nb)
-            radii = _gershgorin_radii(e)
-            lo, hi = float(np.min(e[0] - radii)), float(np.max(e[0] + radii))
-            dl = span / (hi - lo)
-            tol = cfg.abs_tol + cfg.rel_tol * frob(y)
+            h[ii, jj] = h[jj, ii] = state.y[slots]
+            _, _, lo, hi = state.edges()
+            if dl is None:
+                dl = span / (hi - lo)
+            tol = cfg.abs_tol + cfg.rel_tol * math.sqrt(state.diag_sq + state.off_sq)
             while True:
                 if dl <= 16.0 * np.finfo(float).eps * max(abs(ell), 1.0):
                     raise StepSizeUnderflow(ell, f"jump underflow at ell={ell:.6g}")
                 clipped = ell + dl >= t_cap
                 step = t_cap - ell if clipped else dl
-                g = _qr_jump(h, step, 0.5 * (lo + hi))
+                g = _qr_jump(h, step, 0.5 * (lo + hi), state.expms)
                 removed = g[dropped]
                 removed_sq = float(np.dot(removed, removed))
                 if math.sqrt(removed_sq) <= tol:
@@ -818,27 +905,22 @@ class _BandedFlow:
                 dl = 0.5 * step
             self.report.frobenius_drift += removed_sq / max(self.frob0_sq, 1e-300)
             self.n_jumps += 1
-            y = np.zeros_like(y)
+            y = np.zeros_like(state.y)
             y[slots] = g[ii, jj]
-            return (t_cap if clipped else ell + step), y
+            return (t_cap if clipped else ell + step), y, step
 
         def check(y: np.ndarray) -> tuple[bool, list[int]]:
             """Whether y is converged, else where it may be deflated."""
-            if off_sq(y) <= self.conv_off_sq:
+            state = measured(y)
+            if state.off_sq <= self.conv_off_sq:
                 return True, []
-            return False, self._deflation_cuts(y.reshape(mb + 1, nb))
+            return False, self._deflation_cuts(state)
 
         if self.wegner:
-            wegner = _wegner_band_rhs(nb)
-
-            def rhs(_ell: float, y: np.ndarray, out: np.ndarray) -> None:
-                self.n_rhs += 1
-                wegner(y, out)
-
+            rhs = _wegner_band_rhs(nb)
         else:
 
             def rhs(_ell: float, y: np.ndarray, out: np.ndarray) -> None:
-                self.n_rhs += 1
                 _banded_rhs_inplace(y, out, nb, mb)
 
         def start_stepper(ell: float, y: np.ndarray, h: float | None):
@@ -852,7 +934,7 @@ class _BandedFlow:
         # steps started at run_ell.
         ell, y, h, rate = task.ell, y0, task.h0, task.rate
         stepper, run_ell = None, ell
-        if not self.wegner and _jumps_pay(task.rows, span, rate / _coupling_rate(task.rows)):
+        if not self.wegner and _jumps_pay(measured(y), span, rate / _coupling_rate(task.rows)):
             pattern, status = flow_slots(y), check(y)
         else:
             stepper, since_scan = start_stepper(ell, y, h), 0
@@ -863,17 +945,17 @@ class _BandedFlow:
                 converged, cuts = status
                 if converged or cuts or ell >= self.ell_max:
                     break
-                if ell > run_ell and not _jumps_pay(e, span, rate / _coupling_rate(e)):
+                if ell > run_ell and not _jumps_pay(measured(y), span, rate / _coupling_rate(e)):
                     close_run(y)  # steps pay now
                     stepper, since_scan, run_ell = start_stepper(ell, y, h), 0, ell
             elif since_scan == _DEFLATE_EVERY:  # a scan: cuts, then the choice
                 since_scan = 0
-                cuts = self._deflation_cuts(e)
+                cuts = self._deflation_cuts(measured(y))
                 if cuts:
                     break
                 # a dip of the step alone does not hand the block over
                 step = max(stepper.h, (ell - run_ell) / stepper.n_accepted)
-                if not self.wegner and _jumps_pay(e, span, step):
+                if not self.wegner and _jumps_pay(measured(y), span, step):
                     h, rate = stepper.h, step * _coupling_rate(e)
                     close_run(y, stepper)
                     stepper, pattern, status, run_ell = None, flow_slots(y), check(y), ell
@@ -887,7 +969,8 @@ class _BandedFlow:
                     stepper.step(t_cap)
                     ell, y, since_scan = stepper.t, stepper.y, since_scan + 1
                 else:
-                    landing = jump(y, ell, t_cap)
+                    origin = measured(y)
+                    landing = jump(origin, ell, t_cap)
                     status = check(landing[1])
                     if status[1] and _has_unsorted_pair(landing[1].reshape(mb + 1, nb)):
                         # Deflatable at the landing, where the flow is growing
@@ -895,15 +978,21 @@ class _BandedFlow:
                         # shrinks): bisect back, to within a quarter of the
                         # jump, toward the earliest ell that converges or
                         # deflates, so that the cut leaves that coupling small.
+                        # rest is the step from ell to the landing; each
+                        # bisection jumps half of it, so a jump from the
+                        # landing's own origin finds its exponential kept.
+                        rest = landing[2]
                         for _ in range(_JUMP_BISECTIONS):
-                            mid = jump(y, ell, ell + 0.5 * (landing[0] - ell))
+                            rest *= 0.5
+                            mid = jump(origin, ell, landing[0], rest)
                             mid_status = check(mid[1])
                             if mid_status[0] or mid_status[1]:
                                 landing, status = mid, mid_status
                             else:
-                                ell, y = mid
+                                ell, y = mid[:2]
+                                origin = measured(y)
                                 track(y)
-                    ell, y = landing
+                    ell, y = landing[:2]
             except StepSizeUnderflow as exc:
                 raise StiffFlowError(ell, frob(y) ** 2, off_sq(y)) from exc
             track(y)

@@ -258,6 +258,15 @@ def certify_truncation(
     (:func:`oracle.brackets_hold`).  Otherwise N doubles, up to max_dim;
     returns params with the certified n_trunc.
     """
+    return _certify(params, n_report, max_dim)[0]
+
+
+def _certify(
+    params: SpinBosonParams, n_report: int, max_dim: int = 1 << 14
+) -> tuple[SpinBosonParams, np.ndarray]:
+    """:func:`certify_truncation`, and the lowest n_report+1 levels of the
+    certified chain that it solved for, as ``oracle.eigenvalues_tridiag``
+    returns them."""
     if not (isinstance(n_report, (int, np.integer)) and not isinstance(n_report, bool)
             and n_report >= 0):
         raise ValueError(f"n_report must be an integer >= 0, got {n_report!r}")
@@ -270,7 +279,7 @@ def certify_truncation(
         h2 = build_spinboson(dataclasses.replace(params, n_trunc=2 * n_dim))
         ev1 = oracle.eigenvalues_tridiag(h1.band(0), h1.band(1), k=k).eigenvalues
         if oracle.brackets_hold(h2.band(0), h2.band(1), ev1 - tol, ev1 + tol).all():
-            return p1
+            return p1, ev1
         n_dim *= 2
     raise TruncationError(
         f"levels 0..{n_report} not stable below dimension {max_dim}; "

@@ -204,7 +204,8 @@ class Dop853:
     nothing.  Each attempted step costs 12 evaluations of ``fun``: 11 new
     stages and the FSAL evaluation at the new point, which becomes the next
     step's first stage.  Construction costs one more, plus one for the
-    automatic initial step when ``first_step`` is not given.
+    automatic initial step when ``first_step`` is not given.  ``n_rhs``
+    counts them.
 
     The error estimate is ``|h| ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2)``,
     and the accept/reject test is ``||err||_2 <= abs_tol + rel_tol * scale(y)``
@@ -251,6 +252,7 @@ class Dop853:
         self.abs_tol = abs_tol
         self._k = np.zeros((_STAGES + 1, self.y.size))
         fun(self.t, self.y, self._k[_ROW[0]])  # the FSAL carry
+        self.n_rhs = 1
         self._yi = np.empty(self.y.size)  # stage arguments
         self._dy = np.empty((3, self.y.size))  # y_new - y, e5 and e3
         self._wf = _FINAL_ROWS[2].copy()  # the final weights, row 0 times h
@@ -275,6 +277,7 @@ class Dop853:
         h0 = 1e-6 if d1 <= 1e-300 else 0.01 * max(d0, 1.0) / d1
         y1 = self.y + h0 * k1
         self.fun(self.t + h0, y1, f1)
+        self.n_rhs += 1
         d2 = float(np.linalg.norm(f1 - k1)) / h0
         rate = max(d1, d2, 1e-300)
         h1 = (tol / rate) ** 0.125 if tol > 0 else h0
@@ -307,6 +310,7 @@ class Dop853:
             np.matmul(wf, k[lo_f:hi_f], out=dy)
             y_new = y + dy[0]  # fresh: callers keep self.y across steps
             fun(t + h, y_new, k[_STAGES])  # FSAL
+            self.n_rhs += _STAGES
             e5_sq = float(np.dot(dy[1], dy[1]))
             denom = e5_sq + 0.01 * float(np.dot(dy[2], dy[2]))
             err = abs(h) * e5_sq / math.sqrt(denom) if denom > 0.0 else 0.0

@@ -106,7 +106,9 @@ def eigenvalues_tridiag(diag, offdiag, k=None) -> SpectrumResult:
     Eigenvalues are located to an absolute tolerance of 1e-12 times the
     matrix scale (the Gershgorin enclosure), which is the returned
     ``residual_bound`` whatever k is; multiplicities are counted correctly
-    because the search brackets eigenvalue counts, not roots.
+    because the search brackets eigenvalue counts, not roots.  A diagonal
+    input (every coupling exactly zero, as at N <= 1) returns its sorted
+    diagonal exactly, with ``residual_bound`` 0.
 
     Each pass finds the distinct open brackets among the lowest k
     eigenvalues, spreads at most max(N, _PASS_SHIFTS) shifts evenly over
@@ -137,10 +139,8 @@ def eigenvalues_tridiag(diag, offdiag, k=None) -> SpectrumResult:
         k = n
     elif not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k <= n):
         raise ValueError(f"k must be an integer with 0 <= k <= N = {n}, got {k!r}")
-    if n == 0:
-        return SpectrumResult(np.empty(0), 0.0)
-    if n == 1:
-        return SpectrumResult(diag[:k].copy(), 0.0)
+    if not offdiag.any():  # diagonal: its entries are the eigenvalues, exactly
+        return SpectrumResult(np.sort(diag)[:k], 0.0)
     e = _binary_exponent(diag, offdiag)
     diag, offdiag = np.ldexp(diag, -e), np.ldexp(offdiag, -e)
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandflow import cli
+from bandflow import cli, models, oracle
 from bandflow.band import make_banded, write_matrix
 from bandflow.cli import main
 from bandflow.flow import StiffFlowError
@@ -197,6 +198,41 @@ class TestSpectrumCommand:
             "rel_err_asym1", "rel_err_asym2", "cond_f", "cond_order",
         ]
 
+    def test_spinboson_solves_the_certified_chain_once(self, tmp_path, capsys, monkeypatch):
+        # certification solves the certified chain's lowest levels, and the
+        # eps_oracle column reports those: no second solve of that chain
+        base = models.SpinBosonParams(delta=2.0, lam=4.0, omega=1.0, branch=1,
+                                      n_trunc=models.default_n_trunc(5, 4.0, 1.0))
+        h = models.build_spinboson(models.certify_truncation(base, 5))
+        expect = oracle.eigenvalues_tridiag(h.band(0), h.band(1), k=6).eigenvalues
+        solves = []
+        solve = oracle.eigenvalues_tridiag
+
+        def spy(diag, offdiag, k=None):
+            solves.append((len(diag), k))
+            return solve(diag, offdiag, k=k)
+
+        monkeypatch.setattr(oracle, "eigenvalues_tridiag", spy)
+        monkeypatch.setattr(cli, "eigenvalues_tridiag", spy)
+        out_path = tmp_path / "s.csv"
+        rc = main(["spectrum", "--model", "spinboson", "--delta", "2", "--lambda", "4",
+                   "--levels", "0-5", "--out", str(out_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert solves.count((h.dim, 6)) == 1
+        _header, rows = parse_csv(out_path.read_text())
+        assert [float(r[2]) for r in rows] == expect.tolist()
+
+    def test_lipkin_defaults_exact_oracle(self, tmp_path, capsys):
+        # v0 = 0 leaves the blocks diagonal: the oracle returns their
+        # diagonal exactly, as the flow does
+        out_path = tmp_path / "s.csv"
+        assert main(["spectrum", "--model", "lipkin", "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        _header, rows = parse_csv(out_path.read_text())
+        assert [float(r[2]) for r in rows] == [-1.0, 0.0, 1.0]
+        assert [r[2] for r in rows] == [r[1] for r in rows]
+
     def test_bad_levels_exit_3(self, capsys):
         rc = main(["spectrum", "--model", "lipkin", "--levels", "-3"])
         capsys.readouterr()
@@ -304,6 +340,18 @@ class TestUsageErrors:
             main([])
         capsys.readouterr()
         assert info.value.code == 3
+
+
+    def test_help_states_no_none_default(self, capsys):
+        # help that says what an option does when left out shows no
+        # "(default: None)" beside it
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) >= {"flow", "spectrum", "fig1", "compare-generators"}
+        for name, subparser in sub.choices.items():
+            text = subparser.format_help()
+            assert "(default: None)" not in text, name
+            assert "(default: " in text, name
 
 
 def subprocess_env():

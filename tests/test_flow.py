@@ -766,8 +766,8 @@ class TestScaleAndStats:
         qr_jump = flow._qr_jump
         calls = []
 
-        def leaky(h, dl, sigma):
-            g = qr_jump(h, dl, sigma)
+        def leaky(h, dl, sigma, *args):
+            g = qr_jump(h, dl, sigma, *args)
             calls.append(dl)
             if len(calls) > 1:
                 g[0, 2] = g[2, 0] = 1.0
@@ -1113,7 +1113,8 @@ SPAN = math.log(1e-10 / 2.0**-53)  # one jump at the default rel_tol, times s
 
 def jumps_pay_at_start(rows):
     """The choice of a sign-flow block with rows that has not stepped yet."""
-    return flow._jumps_pay(rows, SPAN, flow._STEP_RATE / flow._coupling_rate(rows))
+    state = flow._State(rows.ravel(), rows.shape[1])
+    return flow._jumps_pay(state, SPAN, flow._STEP_RATE / flow._coupling_rate(rows))
 
 
 def assert_jumps_match_stepper(h):
@@ -1148,6 +1149,98 @@ def assert_jumps_match_stepper(h):
         assert np.all(j[ref == 0.0] == 0.0)
         assert np.max(np.abs(j - ref)) <= 4.0 * np.max(np.abs(st_ - ref)) + floor
     return jumped.stats
+
+
+def reference_flow_pattern(h):
+    """flow._flow_pattern written out: the coupling graph's components by
+    breadth-first search, then h_ab (a <= b) is kept when a and b share a
+    component and some a' <= a of it has a nonzero h_a'j with j >= b."""
+    n = h.shape[0]
+    comp = [-1] * n
+    for root in range(n):
+        if comp[root] >= 0:
+            continue
+        comp[root], queue = root, [root]
+        while queue:
+            a = queue.pop(0)
+            for b in range(n):
+                if h[a, b] != 0.0 and comp[b] < 0:
+                    comp[b] = root
+                    queue.append(b)
+    keep = np.eye(n, dtype=bool)
+    for a in range(n):
+        for b in range(a + 1, n):
+            keep[a, b] = keep[b, a] = comp[a] == comp[b] and any(
+                comp[p] == comp[a] and np.any(h[p, b:] != 0.0) for p in range(a + 1))
+    return keep
+
+
+@st.composite
+def patterned_block(draw, chain):
+    """A dense symmetric block of 2 to 40 rows and bandwidth 1 to 4 with
+    random zeros in its bands: its first superdiagonal has none if chain,
+    else at least one."""
+    n = draw(st.integers(2, 40))
+    m = min(draw(st.integers(1, 4)), n - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_zero = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    bands = [rng.uniform(-1.0, 1.0, n)]
+    for k in range(1, m + 1):
+        b = rng.uniform(0.5, 1.0, n - k) * rng.choice([-1.0, 1.0], n - k)
+        b[rng.random(n - k) < p_zero] = 0.0
+        if k == 1:
+            if chain:
+                b[b == 0.0] = 0.75
+            elif not (b == 0.0).any():
+                b[rng.integers(0, n - 1)] = 0.0
+        bands.append(b)
+    return BandedSymmetricMatrix(n, m, bands).to_dense()
+
+
+class TestJumpParts:
+    """The pieces of a jump against independent references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.booleans().flatmap(patterned_block))
+    def test_flow_pattern_matches_reference(self, h):
+        assert np.array_equal(flow._flow_pattern(h), reference_flow_pattern(h))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.1, 0.3, 1.0, 7.0, 50.0]))
+    def test_expm_keeps_its_halves(self, n, seed, scale):
+        # the inputs of the last two squarings are exp(a / 2) and exp(a / 4)
+        # as _expm computes them, bit for bit
+        rng = np.random.default_rng(seed)
+        a = scale * rng.uniform(-1.0, 1.0, (n, n))
+        a += a.T
+        e, half, quarter = flow._expm(a)
+        norm = np.max(np.abs(a).sum(axis=0))
+        assert (half is None, quarter is None) == (norm <= 0.5, norm <= 1.0)
+        if half is not None:
+            assert np.array_equal(half, flow._expm(a / 2.0)[0])
+            assert np.array_equal(e, half @ half)
+        if quarter is not None:
+            assert np.array_equal(quarter, flow._expm(a / 4.0)[0])
+
+    def test_bisection_reuses_the_landings_exponential(self, monkeypatch):
+        # the input of test_deflation_inside_a_jump bisects its deflating
+        # landing: halving the landing's step from the same state reads the
+        # exponential that the landing kept, so fewer are computed than
+        # jumps are made
+        expm = flow._expm
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(flow, "_expm", counting)
+        h = make_banded(3, 1, {(0, 0): -0.18618, (1, 1): -0.17698, (2, 2): -0.18857,
+                               (0, 1): -5.01917e-12, (1, 2): -5.93522e-4})
+        res = integrate_flow(h, FlowConfig(ell_max=3000.0))
+        assert res.converged and res.stats.n_deflations == 1
+        assert 0 < len(calls) < res.stats.n_jumps
 
 
 class TestQRJumps:
@@ -1185,8 +1278,8 @@ class TestQRJumps:
         calls = []
         pay = flow._jumps_pay
 
-        def spy(rows, span, step):
-            calls.append((rows.copy(), step, pay(rows, span, step)))
+        def spy(state, span, step):
+            calls.append((state.rows.copy(), step, pay(state, span, step)))
             return calls[-1][2]
 
         monkeypatch.setattr(flow, "_jumps_pay", spy)

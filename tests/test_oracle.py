@@ -22,6 +22,14 @@ class TestTridiag:
         res = eigenvalues_tridiag([1.0, 2.0, 3.0], [0.0, 0.0])
         np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0, 3.0], atol=1e-13)
 
+    def test_diagonal_input_is_exact(self):
+        # no coupling: the sorted diagonal, exactly, for any k
+        diag = [3.0, -1.0, 0.1, -1.0]
+        res = eigenvalues_tridiag(diag, [0.0, -0.0, 0.0])
+        assert res.eigenvalues.tolist() == [-1.0, -1.0, 0.1, 3.0]
+        assert res.residual_bound == 0.0
+        assert eigenvalues_tridiag(diag, [0.0] * 3, k=2).eigenvalues.tolist() == [-1.0, -1.0]
+
     def test_two_level_symmetric(self):
         res = eigenvalues_tridiag([0.0, 0.0], [1.0])
         np.testing.assert_allclose(res.eigenvalues, [-1.0, 1.0], atol=1e-13)
