@@ -84,7 +84,7 @@ __all__ = [
 _WEGNER_CAP = 256
 _DECAY_FIT_FLOOR = 1e-12  # times ||H||_F; below this, roundoff dominates log fits
 _DEFLATE_EVERY = 4  # accepted steps between boundary scans
-_STEP_RATE = 0.4  # guess at DOP853's step times the block's rate r: 0.37-0.80 (see _Task)
+_STEP_RATE = 0.4  # guess at DOP853's step times the block's rate r: 0.37-0.80 (see _Block)
 _JUMP_ROWS = 48  # block size whose jump costs about one step at M = 3
 _JUMP_BISECTIONS = 2  # halvings that place a deflation inside a jump
 _UNIT_ROUNDOFF = 2.0**-53
@@ -129,7 +129,8 @@ class FlowConfig:
     scaled accordingly when overridden.  abs_tol is in units of 2^k, the
     binary exponent of max|h_nm| (see :func:`integrate_flow`), so the
     per-step tolerance scales with the matrix.  Tolerances and ell_max must
-    be finite and positive, snapshot ells finite, non-negative and sorted.
+    be finite and positive, snapshot ells finite, non-negative and sorted;
+    generator may be given by its value, "mielke" or "wegner".
     """
 
     generator: GeneratorKind = GeneratorKind.MIELKE
@@ -140,6 +141,7 @@ class FlowConfig:
     snapshot_ells: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "generator", GeneratorKind(self.generator))  # or ValueError
         for name in ("rel_tol", "abs_tol", "convergence_tol", "ell_max"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0.0):
@@ -381,7 +383,7 @@ def _jumps_pay(state: _State, span: float, step: float) -> bool:
     Timed alone at N = 48 to 128 and M = 1 to 4, a jump cost 0.2 to 0.7
     of that many steps, so the estimate leans toward steps.  A block too
     large for a jump to pay at step _STEP_RATE / (2 s), the shortest that
-    the guess of :class:`_Task` predicts (r <= 2 s), steps whatever its
+    the guess of :class:`_Block` predicts (r <= 2 s), steps whatever its
     step: about 160 to 200 rows.  s is asked of state only for a block
     small enough that a jump can pay.
     """
@@ -525,33 +527,6 @@ def _flow_pattern(h: np.ndarray) -> np.ndarray:
     return keep | keep.T
 
 
-@dataclass
-class _Task:
-    """A block of the flow queued at ell.
-
-    h0 and rate pass from a block to the pieces it splits into.  h0 is the
-    step size of the last stepper in the block's history, and rate that
-    step h times the block's :func:`_coupling_rate` r when it stopped.
-    Until a stepper has run, h0 is None and rate is _STEP_RATE, a guess.
-    Measured at rel_tol 1e-10 with steps only, seed 0, N = 128 to 400
-    (10th to 90th percentile over deflation scans), h r stayed at 0.47 to
-    0.56 on random tridiagonals, 0.37 to 0.48 on random M = 3 blocks and
-    0.66 to 0.80 on spin-boson chains, so the guess overcounts the steps of
-    every block but the random M = 3 ones.  A block that is not stepping
-    predicts its step as rate / r.  If its couplings connect all N rows,
-    s <= (N - 1 + M) r for the Gershgorin spread s: a path of at most
-    N - 1 couplings joins the extreme diagonal entries, and every radius is
-    at most M r / 2.  So at the default rel_tol the guess makes every such
-    block of at most 32 rows jump.
-    """
-
-    start: int
-    rows: np.ndarray  # private (M_b+1) x N_b row array of this block
-    ell: float
-    h0: float | None = None  # step size inherited across a split
-    rate: float = _STEP_RATE
-
-
 class _State:
     """One state y of a block, its flattened row array, and what the flow loop
     reads off it, each taken at most once.
@@ -591,21 +566,22 @@ class _State:
 class _BandedFlow:
     """Flow driver for both generators.
 
-    The sign generator flows with dynamic block deflation; its 2x2 blocks
-    flow in closed form.  A larger block advances in one loop, one exact
-    QR jump or one DOP853 step a pass, as :func:`_jumps_pay` chooses from
-    the block's state: when the block starts, at every deflation scan while
-    it steps and at every landing while it jumps (from the h r its last
-    stepper ran at, if it had one).  A scan judges by the longer of the
-    stepper's next step and the mean step of its run so far: the step dips
-    for a few steps where a pair turns, and a block near the crossover
-    judged by the dip alone would hand over for a single jump and back.
-    It switches in place: a stepper that hands over to jumps is dropped,
-    keeping its step h and the h r it was judged by, and a block that hands
-    back to steps builds a new stepper that starts at that h.  Under the
-    automatic ell_max a 2x2 block runs to its convergence ell even past the
-    cap.  Wegner's generator, whose input arrives widened to M = N - 1,
-    integrates the whole matrix as one undeflated system.
+    The sign generator flows with dynamic block deflation; the queue holds
+    one :class:`_Block` per block, and 2x2 blocks flow in closed form.  A
+    larger block advances in one loop, one exact QR jump or one DOP853
+    step a pass, as :func:`_jumps_pay` chooses from the block's state:
+    when the block starts, at every deflation scan while it steps and at
+    every landing while it jumps (from the h r its last stepper ran at, if
+    it had one).  A scan judges by the longer of the stepper's next step
+    and the mean step of its run so far: the step dips for a few steps
+    where a pair turns, and a block near the crossover judged by the dip
+    alone would hand over for a single jump and back.  It switches in
+    place: a stepper that hands over to jumps is dropped, keeping its step
+    h and the h r it was judged by, and a block that hands back to steps
+    builds a new stepper that starts at that h.  Under the automatic
+    ell_max a 2x2 block runs to its convergence ell even past the cap.
+    Wegner's generator, whose input arrives widened to M = N - 1,
+    integrates the whole matrix as one undeflated system, never scanned.
 
     Each block's state is its row array flattened; the assembled final and
     snapshot matrices are (M+1) x N row arrays.  A block writes its column
@@ -630,10 +606,6 @@ class _BandedFlow:
     landing's own origin reuses an exponential that the landing's jump
     kept (see :func:`_qr_jump`).  ell_final of a jumped block is the
     landing ell of its first converged jump.
-
-    One per-state cache (:class:`_State`) holds what the loop reads off
-    the state last measured: its norms, its Gershgorin enclosure and the
-    exponentials jumps from it computed.
     """
 
     def __init__(self, h0: BandedSymmetricMatrix, config: FlowConfig):
@@ -663,6 +635,8 @@ class _BandedFlow:
             self.ell_max = _auto_ell_max(
                 rows0[0], _gershgorin_radii(rows0), 2 if self.wegner else 1
             )
+        # A jump spans dl = span / s for the block's Gershgorin spread s.
+        self.span = math.log(max(config.rel_tol / _UNIT_ROUNDOFF, math.e))
         self.snap_ells = list(config.snapshot_ells)
         self.snaps = {s: rows0.copy() for s in self.snap_ells}
         self.report = ConservationReport()
@@ -700,7 +674,7 @@ class _BandedFlow:
             if hi - lo > 1:
                 block = rows[: hi - lo, lo:hi].copy()
                 if _off_sq(block.ravel(), hi - lo) > self.conv_off_sq:
-                    tasks.append(_Task(start + lo, block, ell, h, rate))
+                    tasks.append(_Block(self, start + lo, block, ell, h, rate))
 
     def _split(self, tasks: deque, start: int, e: np.ndarray, cuts, ell: float,
                h: float | None, rate: float) -> None:
@@ -735,7 +709,7 @@ class _BandedFlow:
         blocks.
         """
         e = state.rows
-        if self.wegner or e.shape[1] < 2:
+        if e.shape[1] < 2:
             return []
         cr = boundary_coupling_sq(e)  # per cut c = 1..nb-1
         # coarse prefilter: neither rule can fire above this bound
@@ -768,7 +742,7 @@ class _BandedFlow:
         cuts = [] if self.wegner else [b.start for b in split_irreducible(self.h0)[1:]]
         self._push_blocks(tasks, self.h0.rows(), 0, cuts, 0.0, None)
         while tasks:
-            self._run_task(tasks.popleft(), tasks)
+            tasks.popleft().run(tasks)
 
         return FlowResult(
             final=BandedSymmetricMatrix.from_rows(self.final),
@@ -781,198 +755,175 @@ class _BandedFlow:
                             self.n_tasks, self.n_deflations, self.n_exact, self.n_jumps),
         )
 
-    def _run_task(self, task: _Task, tasks: deque) -> None:
+
+class _Block:
+    """A block of the flow queued at ell: rows start .. start + N_b - 1 of the
+    matrix, as its own (M_b+1) x N_b row array.
+
+    h and rate pass from a block to the pieces it splits into.  h is the
+    step size of the last stepper in the block's history, and rate that
+    step h times the block's :func:`_coupling_rate` r when it stopped.
+    Until a stepper has run, h is None and rate is _STEP_RATE, a guess.
+    Measured at rel_tol 1e-10 with steps only, seed 0, N = 128 to 400
+    (10th to 90th percentile over deflation scans), h r stayed at 0.47 to
+    0.56 on random tridiagonals, 0.37 to 0.48 on random M = 3 blocks and
+    0.66 to 0.80 on spin-boson chains, so the guess overcounts the steps of
+    every block but the random M = 3 ones.  A block that is not stepping
+    predicts its step as rate / r.  If its couplings connect all N rows,
+    s <= (N - 1 + M) r for the Gershgorin spread s: a path of at most
+    N - 1 couplings joins the extreme diagonal entries, and every radius is
+    at most M r / 2.  So at the default rel_tol the guess makes every such
+    block of at most 32 rows jump.
+
+    :meth:`run` flows the block by :meth:`pair` or :meth:`advance`, then
+    cuts it and queues its pieces or writes it where it stops.  The block
+    keeps one per-state cache (:class:`_State`) of the state last measured,
+    the drift of its current run of steps or jumps, and its stepper while
+    it steps or the flow pattern of the run while it jumps.
+    """
+
+    def __init__(self, flow: _BandedFlow, start: int, rows: np.ndarray, ell: float,
+                 h: float | None, rate: float):
+        self.flow, self.start, self.rows, self.ell = flow, start, rows, ell
+        self.mb, self.nb = rows.shape[0] - 1, rows.shape[1]
+        self.h, self.rate = h, rate
+        self.last = self.stepper = self.pattern = None
+
+    def run(self, tasks: deque) -> None:
+        """Flow the block, then write it, or cut it and queue its pieces."""
         # A queued block has 2 or more rows and is not converged.  Snapshots
         # at or before its start ell were already written (initialization
         # covers ell <= 0, the block it split from covers the split point).
-        cfg = self.config
-        mb, nb = task.rows.shape[0] - 1, task.rows.shape[1]
-        y0 = task.rows.ravel()
-        # The state last measured (see _State): the stepper's scale, track,
-        # the convergence check, the deflation scan, the choice between
-        # jumps and steps and a jump all read an accepted state.
-        last = None
-
-        def measured(y: np.ndarray) -> _State:
-            nonlocal last
-            if last is None or last.y is not y:
-                last = _State(y, nb)
-            return last
-
-        def off_sq(y: np.ndarray) -> float:
-            return measured(y).off_sq
-
-        def frob(y: np.ndarray) -> float:
-            state = measured(y)
-            return math.sqrt(state.diag_sq + state.off_sq)
-
-        trace0 = float(y0[:nb].sum())
-        frob0_sq_b = frob(y0) ** 2
-        max_tr = 0.0
-        max_fr = 0.0
-        max_pt = 0.0
-        prev_cum = y0[:nb].cumsum()
-
-        def track(y: np.ndarray) -> None:
-            nonlocal max_tr, max_fr, max_pt, prev_cum
-            diag = y[:nb]
-            max_tr = max(max_tr, abs(float(diag.sum()) - trace0))
-            max_fr = max(max_fr, abs(frob(y) ** 2 - frob0_sq_b))
-            cum = diag.cumsum()  # ndarray methods: no fromnumeric wrappers per state
-            max_pt = max(max_pt, float((cum - prev_cum).max()))
-            prev_cum = cum
-
-        def close_run(y: np.ndarray, stepper=None) -> None:
-            """Add the drift of the run of steps or jumps that ends at y, and
-            its stepper's counts, to the flow's; the next run drifts from y."""
-            nonlocal trace0, frob0_sq_b, max_tr, max_fr
-            if stepper is not None:
-                self.n_rhs += stepper.n_rhs
-                self.n_accepted += stepper.n_accepted
-                self.n_rejected += stepper.n_rejected
-            self.report.trace_drift += max_tr
-            self.report.frobenius_drift += max_fr / max(self.frob0_sq, 1e-300)
-            self.report.partial_trace_violation = max(
-                self.report.partial_trace_violation, max_pt
-            )
-            trace0, frob0_sq_b, max_tr, max_fr = float(y[:nb].sum()), frob(y) ** 2, 0.0, 0.0
-
-        if nb == 2 and not self.wegner:
-            # A pair flows in closed form (the Toda flow), with no stepper.
-            state, end = _pair_flow(task.rows, task.ell, self.conv_off_sq)
-            # The automatic ell_max bounds work, and a pair costs O(1): run
-            # it to its crossing unless the caller capped ell.
-            cap = math.inf if cfg.ell_max is None and math.isfinite(end) else self.ell_max
-            nudge = math.ulp(end)
-            while end < cap:  # step past rounding at the crossing
-                y = state(end)
-                if off_sq(y) <= self.conv_off_sq:
-                    break
-                end, nudge = end + nudge, 2.0 * nudge
-            else:  # cut short: evaluate at ell_max, where a deflation may fire
-                end = self.ell_max
-                y = state(end)
-            self.n_exact += 1
-            for s in self.snap_ells:  # ascending, so drifts are tracked in ell order
-                if task.ell < s <= end:
-                    snap = state(s)
-                    track(snap)
-                    self._write(self.snaps[s], task.start, snap.reshape(2, 2))
-            track(y)
-            close_run(y)
-            e, converged = y.reshape(2, 2), off_sq(y) <= self.conv_off_sq
-            cuts = [] if converged else self._deflation_cuts(measured(y))
-            if cuts:
-                self._split(tasks, task.start, e, cuts, end, task.h0, task.rate)
-            else:
-                self._finish(task.start, e, end, converged)
-            return
-
-        span = math.log(max(cfg.rel_tol / _UNIT_ROUNDOFF, math.e))
-
-        def flow_slots(y: np.ndarray):
-            """The slots that a run of jumps from y keeps, those its exact
-            flow can fill, and the dense entries that the run drops."""
-            band, bi, bj = _band_slots(nb, mb + 1)
-            h = np.zeros((nb, nb))
-            h[bi, bj] = h[bj, bi] = y[band]
-            dropped = ~_flow_pattern(h)
-            kept = ~dropped[bi, bj]
-            return band[kept], bi[kept], bj[kept], dropped
-
-        def jump(state: _State, ell: float, t_cap: float,
-                 dl: float | None = None) -> tuple[float, np.ndarray, float]:
-            """Land one jump from state at ell, of dl (default: one span,
-            span / s) or at t_cap if that comes first; returns the landing
-            ell, the landing state's y and the step taken."""
-            slots, ii, jj, dropped = pattern
-            h = np.zeros((nb, nb))
-            h[ii, jj] = h[jj, ii] = state.y[slots]
-            _, _, lo, hi = state.edges()
-            if dl is None:
-                dl = span / (hi - lo)
-            tol = cfg.abs_tol + cfg.rel_tol * math.sqrt(state.diag_sq + state.off_sq)
-            while True:
-                if dl <= 16.0 * np.finfo(float).eps * max(abs(ell), 1.0):
-                    raise StepSizeUnderflow(ell, f"jump underflow at ell={ell:.6g}")
-                clipped = ell + dl >= t_cap
-                step = t_cap - ell if clipped else dl
-                g = _qr_jump(h, step, 0.5 * (lo + hi), state.expms)
-                removed = g[dropped]
-                removed_sq = float(np.dot(removed, removed))
-                if math.sqrt(removed_sq) <= tol:
-                    break
-                dl = 0.5 * step
-            self.report.frobenius_drift += removed_sq / max(self.frob0_sq, 1e-300)
-            self.n_jumps += 1
-            y = np.zeros_like(state.y)
-            y[slots] = g[ii, jj]
-            return (t_cap if clipped else ell + step), y, step
-
-        def check(y: np.ndarray) -> tuple[bool, list[int]]:
-            """Whether y is converged, else where it may be deflated."""
-            state = measured(y)
-            if state.off_sq <= self.conv_off_sq:
-                return True, []
-            return False, self._deflation_cuts(state)
-
-        if self.wegner:
-            rhs = _wegner_band_rhs(nb)
+        flow, y = self.flow, self.rows.ravel()
+        self.start_run(y)
+        if self.nb == 2 and not flow.wegner:
+            ell, y, cuts = self.pair()
         else:
-
-            def rhs(_ell: float, y: np.ndarray, out: np.ndarray) -> None:
-                _banded_rhs_inplace(y, out, nb, mb)
-
-        def start_stepper(ell: float, y: np.ndarray, h: float | None):
-            self.n_tasks += 1
-            return Dopri54(rhs, ell, y, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                           scale=frob, first_step=h)
-
-        # The block advances by one jump or one step a pass.  stepper is None
-        # while it jumps; h and rate are the step size and h r of the last
-        # stepper in its history (see _Task); the current run of jumps or
-        # steps started at run_ell.
-        ell, y, h, rate = task.ell, y0, task.h0, task.rate
-        stepper, run_ell = None, ell
-        if not self.wegner and _jumps_pay(measured(y), span, rate / _coupling_rate(task.rows)):
-            pattern, status = flow_slots(y), check(y)
+            ell, y, cuts = self.advance(y)
+        e = y.reshape(self.rows.shape)
+        if cuts and self.stepper is not None:  # the pieces start at its step
+            self.h, self.rate = self.stepper.h, self.stepper.h * _coupling_rate(e)
+        self.close_run(y)
+        if cuts:
+            flow._split(tasks, self.start, e, cuts, ell, self.h, self.rate)
         else:
-            stepper, since_scan = start_stepper(ell, y, h), 0
+            flow._finish(self.start, e, ell, self.measured(y).off_sq <= flow.conv_off_sq)
+
+    def measured(self, y: np.ndarray) -> _State:
+        """The state y, measured once while it is the last one asked for."""
+        if self.last is None or self.last.y is not y:
+            self.last = _State(y, self.nb)
+        return self.last
+
+    def frob(self, y: np.ndarray) -> float:
+        state = self.measured(y)
+        return math.sqrt(state.diag_sq + state.off_sq)
+
+    def start_run(self, y: np.ndarray) -> None:
+        """Measure the drift of a run of steps or jumps from y."""
+        diag = y[: self.nb]
+        self.trace0, self.frob0_sq = float(diag.sum()), self.frob(y) ** 2
+        self.max_tr = self.max_fr = self.max_pt = 0.0
+        self.prev_cum = diag.cumsum()
+
+    def track(self, y: np.ndarray) -> None:
+        """Take the next state y of the run into its drift."""
+        diag = y[: self.nb]
+        self.max_tr = max(self.max_tr, abs(float(diag.sum()) - self.trace0))
+        self.max_fr = max(self.max_fr, abs(self.frob(y) ** 2 - self.frob0_sq))
+        cum = diag.cumsum()  # ndarray methods: no fromnumeric wrappers per state
+        self.max_pt = max(self.max_pt, float((cum - self.prev_cum).max()))
+        self.prev_cum = cum
+
+    def close_run(self, y: np.ndarray) -> None:
+        """Add the drift of the run of steps or jumps that ends at y, and its
+        stepper's counts, to the flow's; the next run drifts from y."""
+        flow, report = self.flow, self.flow.report
+        if self.stepper is not None:
+            flow.n_rhs += self.stepper.n_rhs
+            flow.n_accepted += self.stepper.n_accepted
+            flow.n_rejected += self.stepper.n_rejected
+            self.stepper = None  # it calls back into this block: free it now, not at a gc
+        report.trace_drift += self.max_tr
+        report.frobenius_drift += self.max_fr / max(flow.frob0_sq, 1e-300)
+        report.partial_trace_violation = max(report.partial_trace_violation, self.max_pt)
+        self.start_run(y)
+
+    def pair(self) -> tuple[float, np.ndarray, list[int]]:
+        """Flow a 2x2 block in closed form (the Toda flow), with no stepper."""
+        flow = self.flow
+        state, end = _pair_flow(self.rows, self.ell, flow.conv_off_sq)
+        # The automatic ell_max bounds work, and a pair costs O(1): run it
+        # to its crossing unless the caller capped ell.
+        cap = math.inf if flow.config.ell_max is None and math.isfinite(end) else flow.ell_max
+        nudge = math.ulp(end)
+        while end < cap:  # step past rounding at the crossing
+            y = state(end)
+            if self.measured(y).off_sq <= flow.conv_off_sq:
+                break
+            end, nudge = end + nudge, 2.0 * nudge
+        else:  # cut short: evaluate at ell_max, where a deflation may fire
+            end = flow.ell_max
+            y = state(end)
+        flow.n_exact += 1
+        for s in flow.snap_ells:  # ascending, so drifts are tracked in ell order
+            if self.ell < s <= end:
+                snap = state(s)
+                self.track(snap)
+                flow._write(flow.snaps[s], self.start, snap.reshape(2, 2))
+        self.track(y)
+        converged = self.measured(y).off_sq <= flow.conv_off_sq
+        return end, y, [] if converged else flow._deflation_cuts(self.measured(y))
+
+    def advance(self, y: np.ndarray) -> tuple[float, np.ndarray, list[int]]:
+        """Flow a block of 3 or more rows, or a Wegner flow, from its state y
+        by one exact QR jump or one step a pass (see :class:`_BandedFlow`)."""
+        flow, ell = self.flow, self.ell
+        run_ell = ell  # where the current run of jumps or steps started
+        if not flow.wegner and _jumps_pay(self.measured(y), flow.span,
+                                          self.rate / _coupling_rate(self.rows)):
+            self.jump_from(y)
+        else:
+            self.step_from(ell, y)
         while True:
-            e = y.reshape(mb + 1, nb)
-            cuts = []
-            if stepper is None:  # the start of a run of jumps, or a landing
-                converged, cuts = status
-                if converged or cuts or ell >= self.ell_max:
-                    break
-                if ell > run_ell and not _jumps_pay(measured(y), span, rate / _coupling_rate(e)):
-                    close_run(y)  # steps pay now
-                    stepper, since_scan, run_ell = start_stepper(ell, y, h), 0, ell
-            elif since_scan == _DEFLATE_EVERY:  # a scan: cuts, then the choice
-                since_scan = 0
-                cuts = self._deflation_cuts(measured(y))
+            state = self.measured(y)
+            converged = state.off_sq <= flow.conv_off_sq
+            stepper = self.stepper
+            if stepper is None:  # a run of jumps starts, or a jump landed
+                if ell == run_ell:  # the run starts: judge y (a jump judges its landing)
+                    cuts = [] if converged else flow._deflation_cuts(state)
+                if converged or cuts or ell >= flow.ell_max:
+                    return ell, y, cuts
+                if ell > run_ell and not _jumps_pay(state, flow.span,
+                                                    self.rate / _coupling_rate(state.rows)):
+                    self.close_run(y)  # steps pay now
+                    self.step_from(ell, y)
+                    run_ell = ell
+            elif (not flow.wegner and stepper.n_accepted > 0
+                  and stepper.n_accepted % _DEFLATE_EVERY == 0):
+                # a scan, every _DEFLATE_EVERY steps: cuts, then the choice
+                cuts = flow._deflation_cuts(state)
                 if cuts:
-                    break
+                    return ell, y, cuts
                 # a dip of the step alone does not hand the block over
                 step = max(stepper.h, (ell - run_ell) / stepper.n_accepted)
-                if not self.wegner and _jumps_pay(measured(y), span, step):
-                    h, rate = stepper.h, step * _coupling_rate(e)
-                    close_run(y, stepper)
-                    stepper, pattern, status, run_ell = None, flow_slots(y), check(y), ell
+                if _jumps_pay(state, flow.span, step):
+                    self.h, self.rate = stepper.h, step * _coupling_rate(state.rows)
+                    self.close_run(y)
+                    self.jump_from(y)
+                    run_ell = ell
                     continue
-            if stepper is not None and (off_sq(y) <= self.conv_off_sq
-                                        or ell >= self.ell_max):
-                break
-            t_cap = min([s for s in self.snap_ells if s > ell] + [self.ell_max])
+            if self.stepper is not None and (converged or ell >= flow.ell_max):
+                return ell, y, []
+            t_cap = min([s for s in flow.snap_ells if s > ell] + [flow.ell_max])
             try:
-                if stepper is not None:
-                    stepper.step(t_cap)
-                    ell, y, since_scan = stepper.t, stepper.y, since_scan + 1
+                if self.stepper is not None:
+                    self.stepper.step(t_cap)
+                    ell, y = self.stepper.t, self.stepper.y
                 else:
-                    origin = measured(y)
-                    landing = jump(origin, ell, t_cap)
-                    status = check(landing[1])
-                    if status[1] and _has_unsorted_pair(landing[1].reshape(mb + 1, nb)):
+                    origin = state
+                    landing = self.jump(origin, ell, t_cap)
+                    if landing[3] and _has_unsorted_pair(self.measured(landing[1]).rows):
                         # Deflatable at the landing, where the flow is growing
                         # a coupling (an unsorted pair; every other one
                         # shrinks): bisect back, to within a quarter of the
@@ -984,28 +935,74 @@ class _BandedFlow:
                         rest = landing[2]
                         for _ in range(_JUMP_BISECTIONS):
                             rest *= 0.5
-                            mid = jump(origin, ell, landing[0], rest)
-                            mid_status = check(mid[1])
-                            if mid_status[0] or mid_status[1]:
-                                landing, status = mid, mid_status
+                            mid = self.jump(origin, ell, landing[0], rest)
+                            if mid[3] or self.measured(mid[1]).off_sq <= flow.conv_off_sq:
+                                landing = mid
                             else:
                                 ell, y = mid[:2]
-                                origin = measured(y)
-                                track(y)
-                    ell, y = landing[:2]
+                                origin = self.measured(y)
+                                self.track(y)
+                    ell, y, _, cuts = landing
             except StepSizeUnderflow as exc:
-                raise StiffFlowError(ell, frob(y) ** 2, off_sq(y)) from exc
-            track(y)
-            if ell in self.snaps:
-                self._write(self.snaps[ell], task.start, y.reshape(mb + 1, nb))
+                raise StiffFlowError(ell, self.frob(y) ** 2, self.measured(y).off_sq) from exc
+            self.track(y)
+            if ell in flow.snaps:
+                flow._write(flow.snaps[ell], self.start, y.reshape(self.rows.shape))
 
-        if cuts and stepper is not None:
-            h, rate = stepper.h, stepper.h * _coupling_rate(e)
-        close_run(y, stepper)
-        if cuts:
-            self._split(tasks, task.start, e, cuts, ell, h, rate)
-        else:
-            self._finish(task.start, e, ell, off_sq(y) <= self.conv_off_sq)
+    def jump_from(self, y: np.ndarray) -> None:
+        """Start a run of jumps at y: keep the slots that the run's exact
+        flow can fill, and the dense entries that the run drops."""
+        band, bi, bj = _band_slots(self.nb, self.mb + 1)
+        h = np.zeros((self.nb, self.nb))
+        h[bi, bj] = h[bj, bi] = y[band]
+        dropped = ~_flow_pattern(h)
+        kept = ~dropped[bi, bj]
+        self.pattern = band[kept], bi[kept], bj[kept], dropped
+
+    def jump(self, state: _State, ell: float, t_cap: float,
+             dl: float | None = None) -> tuple[float, np.ndarray, float, list[int]]:
+        """Land one jump from state at ell, of dl (default: one span,
+        span / s) or at t_cap if that comes first; returns the landing ell,
+        the landing state's y, the step taken and where the landing may be
+        cut (nowhere if it is converged)."""
+        flow, cfg = self.flow, self.flow.config
+        slots, ii, jj, dropped = self.pattern
+        h = np.zeros((self.nb, self.nb))
+        h[ii, jj] = h[jj, ii] = state.y[slots]
+        _, _, lo, hi = state.edges()
+        if dl is None:
+            dl = flow.span / (hi - lo)
+        tol = cfg.abs_tol + cfg.rel_tol * math.sqrt(state.diag_sq + state.off_sq)
+        while True:
+            if dl <= 16.0 * np.finfo(float).eps * max(abs(ell), 1.0):
+                raise StepSizeUnderflow(ell, f"jump underflow at ell={ell:.6g}")
+            clipped = ell + dl >= t_cap
+            step = t_cap - ell if clipped else dl
+            g = _qr_jump(h, step, 0.5 * (lo + hi), state.expms)
+            removed = g[dropped]
+            removed_sq = float(np.dot(removed, removed))
+            if math.sqrt(removed_sq) <= tol:
+                break
+            dl = 0.5 * step
+        flow.report.frobenius_drift += removed_sq / max(flow.frob0_sq, 1e-300)
+        flow.n_jumps += 1
+        y = np.zeros_like(state.y)
+        y[slots] = g[ii, jj]
+        landed = self.measured(y)
+        cuts = [] if landed.off_sq <= flow.conv_off_sq else flow._deflation_cuts(landed)
+        return (t_cap if clipped else ell + step), y, step, cuts
+
+    def step_from(self, ell: float, y: np.ndarray) -> None:
+        """Start a run of steps at ell from y with a new stepper, which starts
+        at the step of the last one in the block's history."""
+        flow, cfg = self.flow, self.flow.config
+        flow.n_tasks += 1
+        rhs = _wegner_band_rhs(self.nb) if flow.wegner else self.rhs
+        self.stepper = Dopri54(rhs, ell, y, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                               scale=self.frob, first_step=self.h)
+
+    def rhs(self, _ell: float, y: np.ndarray, out: np.ndarray) -> None:
+        _banded_rhs_inplace(y, out, self.nb, self.mb)
 
 
 def _ldexp(x, e: int):
@@ -1096,6 +1093,8 @@ def decay_rate_estimate(
     magnitude is still above the numeric floor, and returns the negated
     slope; for the sign generator this estimates |h_nn(inf) - h_mm(inf)|.
     """
+    if n == m:
+        raise ValueError(f"({n}, {m}) is a diagonal entry; the rate is defined for n != m")
     if not snapshots:
         raise ValueError("no snapshots supplied")
     floor = _DECAY_FIT_FLOOR * max(math.sqrt(snapshots[0][1].frobenius_norm_sq()), 1e-300)

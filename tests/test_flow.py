@@ -1,3 +1,4 @@
+import gc
 import math
 import pickle
 import tracemalloc
@@ -571,6 +572,11 @@ class TestIntegrateFlow:
             FlowConfig(snapshot_ells=(2.0, 1.0))
         with pytest.raises(ValueError):
             FlowConfig(ell_max=0.0)
+        # the generator is coerced from its value; anything else is refused
+        assert FlowConfig(generator="wegner").generator is GeneratorKind.WEGNER
+        for generator in ("bogus", None):
+            with pytest.raises(ValueError):
+                FlowConfig(generator=generator)
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": math.nan}, {"abs_tol": math.inf}, {"convergence_tol": math.inf},
@@ -624,19 +630,54 @@ class TestScaleAndStats:
         # final at once: every block that is queued has 2 or more rows and
         # is not converged on arrival
         queued = []
-        run_task = flow._BandedFlow._run_task
+        run = flow._Block.run
 
-        def spy(self, task, tasks):
-            nb = task.rows.shape[1]
-            queued.append((nb, flow._off_sq(task.rows.ravel(), nb) / self.conv_off_sq))
-            return run_task(self, task, tasks)
+        def spy(self, tasks):
+            nb = self.rows.shape[1]
+            queued.append((nb, flow._off_sq(self.rows.ravel(), nb) / self.flow.conv_off_sq))
+            return run(self, tasks)
 
-        monkeypatch.setattr(flow._BandedFlow, "_run_task", spy)
+        monkeypatch.setattr(flow._Block, "run", spy)
         for h in build_lipkin_blocks(LipkinParams(xi0=1.0, v0=0.7 / 800.0, two_j=400)):
             queued.clear()
             res = integrate_flow(h)
             assert res.converged and res.stats.n_deflations == h.dim - 1
             assert queued and all(nb >= 2 and ratio > 1.0 for nb, ratio in queued)
+
+    @pytest.mark.parametrize("args,generator,rel_tol,scans", [
+        ((0, 60, 3), GeneratorKind.MIELKE, 1e-10, 145),
+        ((1, 60, 3), GeneratorKind.MIELKE, 1e-10, 148),
+        ((0, 200, 1), GeneratorKind.MIELKE, 1e-10, 1409),
+        ((0, 5, 3), GeneratorKind.WEGNER, 1e-11, 0),  # one block: nothing to cut
+    ])
+    def test_deflation_scans_per_flow(self, monkeypatch, args, generator, rel_tol, scans):
+        # a sign-flow block is judged where it starts, at every landing and
+        # every _DEFLATE_EVERY steps; a Wegner flow is never scanned
+        calls = []
+        cuts = flow._BandedFlow._deflation_cuts
+
+        def spy(self, state):
+            calls.append(None)
+            return cuts(self, state)
+
+        monkeypatch.setattr(flow._BandedFlow, "_deflation_cuts", spy)
+        config = FlowConfig(generator=generator, rel_tol=rel_tol)
+        res = integrate_flow(random_banded(*args), config)
+        assert res.converged
+        assert len(calls) == scans
+
+    def test_flow_leaves_no_reference_cycles(self):
+        # a stepper calls back into its block, so the block must let go of
+        # it when it stops: a cycle would keep the stepper's stage arrays
+        # alive until the next garbage collection
+        gc.collect()
+        gc.disable()
+        try:
+            integrate_flow(random_banded(0, 200, 1))  # 8 steppers
+            integrate_flow(tridiag123(), FlowConfig(generator=GeneratorKind.WEGNER))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("scale,ells", [
         (1e10, (1e300, 1.7e308)),  # both saturate at the top of the float range
@@ -1388,6 +1429,12 @@ class TestDecayRate:
         )
         rate = decay_rate_estimate(res.snapshots, 1, 2)
         assert rate == pytest.approx(SQRT3, rel=0.05)  # gap (2+sqrt3) - 2
+
+    def test_diagonal_entry_rejected(self):
+        # the rate is defined for off-diagonal entries only
+        res = integrate_flow(tridiag123(), FlowConfig(snapshot_ells=(1.0, 2.0, 3.0, 4.0)))
+        with pytest.raises(ValueError, match="diagonal entry"):
+            decay_rate_estimate(res.snapshots, 1, 1)
 
     def test_diagonal_input_rejected(self):
         h = make_banded(2, 1, {(0, 0): 1.0, (1, 1): 2.0})
