@@ -57,11 +57,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _DefaultsFormatter(argparse.ArgumentDefaultsHelpFormatter):
-    """Appends an option's default to its help, unless the default is None:
-    such help states what happens without the option itself."""
+    """Appends an option's default to its help, unless the default is None
+    or "": such help states what happens without the option itself."""
 
     def _get_help_string(self, action):
-        if action.default is None:
+        if action.default is None or action.default == "":
             return action.help
         return super()._get_help_string(action)
 

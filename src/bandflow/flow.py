@@ -231,8 +231,9 @@ def mielke_eta(h: BandedSymmetricMatrix) -> np.ndarray:
     return sign * a
 
 
-def _banded_rhs_inplace(y: np.ndarray, out: np.ndarray, n: int, m: int) -> None:
-    """dH/dl = [eta, H] for the sign generator, as a band-array stencil.
+class _Stencil:
+    """dH/dl = [eta, H] for the sign generator, as a band-array stencil
+    that the stepper calls as fun(ell, y, out).
 
     y and out are flattened (M+1) x N row arrays: band k starts at offset
     k*n.  For n < m the commutator reduces to
@@ -244,42 +245,71 @@ def _banded_rhs_inplace(y: np.ndarray, out: np.ndarray, n: int, m: int) -> None:
     arrive zeroed, and its padding keeps whatever it held.  The first term
     of each slot is assigned and later terms are added in the order a
     zeroed out would sum them, so the result is the same to the bit.
+
+    The first call on a pair of buffers (y, out) compiles the stencil into
+    a program of (ufunc, a, b, o) calls over views of y, out and the
+    stencil's one scratch row; every later call on the same pair replays
+    it, and allocates nothing.  :class:`~bandflow.ode.Dop853` calls fun on
+    one argument buffer and its 13 stage rows, so a stepper's stencil
+    compiles at most 13 programs.  The stencil keeps every pair it has
+    seen, so a one-off call belongs to a stencil of its own.
     """
-    e0 = y[:n]
-    r0 = out[:n]
-    if m == 0:
-        r0[:] = 0.0
-    for j in range(1, m + 1):
-        ej2 = y[j * n : (j + 1) * n - j] ** 2
-        ej2 += ej2
-        if j == 1:  # 0 + a - b, with the signs of zeros that sum keeps
-            np.subtract(ej2[:-1], ej2[1:], out=r0[1 : n - 1])
-            r0[0] = 0.0 - ej2[0]
-            r0[n - 1] = ej2[n - 2]
-        else:
-            r0[j:] += ej2
-            r0[: n - j] -= ej2
-    for d in range(1, m + 1):
-        od = d * n
-        rd = out[od : od + n - d]
-        np.subtract(e0[: n - d], e0[d:], out=rd)
-        rd *= y[od : od + n - d]
-        for i in range(1, m - d + 1):
-            w = n - d - i  # valid stencil width
-            oi, odi = i * n, (d + i) * n
-            t = y[oi : oi + w] * y[odi : odi + w]
-            t += t
-            rd[i:] += t
-            t = y[odi : odi + w] * y[oi + d : oi + n - i]
-            t += t
-            rd[:w] -= t
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        # The scratch row t = [0, 2 h_{k,k+1}^2, 0] of the diagonal, with t[1]
+        # on a 64-byte boundary: at N = 10^4, writing the squares one float off
+        # that boundary took twice as long.  Only t[1:n] is ever written.
+        scratch = np.zeros(n + 9)
+        p = (-scratch.ctypes.data // 8) % 8 or 8
+        self._t = scratch[p - 1 : p + n]
+        self._programs: dict[tuple[int, int], tuple] = {}
+        # the buffers whose ids key the programs, kept so no other object takes an id
+        self._pairs: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def __call__(self, _ell: float, y: np.ndarray, out: np.ndarray) -> None:
+        program = self._programs.get((id(y), id(out)))
+        if program is None:
+            program = self._compile(y, out)
+        for f, a, b, o in program:
+            f(a, b, o)
+
+    def _compile(self, y: np.ndarray, out: np.ndarray) -> tuple:
+        n, m, t = self.n, self.m, self._t
+        mul, add, sub = np.multiply, np.add, np.subtract
+        band = [y[k * n : (k + 1) * n - k] for k in range(m + 1)]
+        res = [out[k * n : (k + 1) * n - k] for k in range(m + 1)]
+        r0, calls = res[0], []
+        if m:
+            sq = t[1:n]
+            calls += [(mul, band[1], band[1], sq), (add, sq, sq, sq)]
+        # 0 - 2 b_0^2, then 2 b_{k-1}^2 - 2 b_k^2, then 2 b_{n-2}^2 - 0: the
+        # signed zeros of a sum into a zeroed row
+        calls.append((sub, t[:n], t[1:], r0))
+        for j in range(2, m + 1):
+            sq = t[1 : n - j + 1]
+            calls += [(mul, band[j], band[j], sq), (add, sq, sq, sq),
+                      (add, r0[j:], sq, r0[j:]), (sub, r0[: n - j], sq, r0[: n - j])]
+        for d in range(1, m + 1):
+            rd = res[d]
+            calls += [(sub, band[0][: n - d], band[0][d:], rd), (mul, rd, band[d], rd)]
+            for i in range(1, m - d + 1):
+                w = n - d - i  # valid stencil width
+                s = t[1 : w + 1]
+                calls += [(mul, band[i][:w], band[d + i], s), (add, s, s, s),
+                          (add, rd[i:], s, rd[i:]),
+                          (mul, band[d + i], band[i][d:], s), (add, s, s, s),
+                          (sub, rd[:w], s, rd[:w])]
+        program = self._programs[id(y), id(out)] = tuple(calls)
+        self._pairs.append((y, out))
+        return program
 
 
 def mielke_rhs(h: BandedSymmetricMatrix) -> BandedSymmetricMatrix:
     """Right-hand side of the sign-generator flow, same band profile as h."""
     rows = h.rows()
     out = np.zeros(rows.size)
-    _banded_rhs_inplace(rows.ravel(), out, h.dim, h.bandwidth)
+    _Stencil(h.dim, h.bandwidth)(0.0, rows.ravel(), out)
     return BandedSymmetricMatrix.from_rows(out.reshape(rows.shape))
 
 
@@ -997,12 +1027,9 @@ class _Block:
         at the step of the last one in the block's history."""
         flow, cfg = self.flow, self.flow.config
         flow.n_tasks += 1
-        rhs = _wegner_band_rhs(self.nb) if flow.wegner else self.rhs
+        rhs = _wegner_band_rhs(self.nb) if flow.wegner else _Stencil(self.nb, self.mb)
         self.stepper = Dopri54(rhs, ell, y, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                                scale=self.frob, first_step=self.h)
-
-    def rhs(self, _ell: float, y: np.ndarray, out: np.ndarray) -> None:
-        _banded_rhs_inplace(y, out, self.nb, self.mb)
 
 
 def _ldexp(x, e: int):

@@ -218,16 +218,18 @@ class Dop853:
 
     The stepper keeps three buffers across steps: the (13, n) stage matrix
     in ``_ROW`` order (the FSAL carry sits in stage 0's row), one n-vector
-    for the stage arguments, and a (3, n) block for the stacked product of
-    y_new - y, e5 and e3.  ``fun`` writes each stage straight into its row
-    of the stage matrix, and the FSAL evaluation into the last row, which
-    the automatic initial step also uses as scratch.  The stage matrix
-    starts zeroed, so a slot that ``fun`` never writes stays 0.  Each stage
-    argument is written into the same kept buffer, so ``fun`` must not keep
-    a reference to its argument or its ``out``.  The only state-sized array
-    a step allocates is the new state, plus whatever ``fun`` allocates as
-    temporaries: ``y`` is a fresh array after every accepted step, so
-    callers may keep it.
+    for the arguments of ``fun``, and a (3, n) block for the stacked
+    product of y_new - y, e5 and e3.  ``fun`` writes each stage straight
+    into its row of the stage matrix, and the FSAL evaluation into the last
+    row, which the automatic initial step also uses as scratch.  The stage
+    matrix starts zeroed, so a slot that ``fun`` never writes stays 0.
+    Every evaluation, the first and the initial step's included, reads its
+    argument from the one kept buffer and writes one of the 13 stage rows,
+    each the same view on every call: ``fun`` may keep views of its
+    argument and ``out``, but not their values, which change between calls.
+    The only state-sized array a step allocates is the new state, plus
+    whatever ``fun`` allocates as temporaries: ``y`` is a fresh copy after
+    every accepted step, so callers may keep it.
     """
 
     def __init__(
@@ -250,12 +252,23 @@ class Dop853:
         self._scale = scale if scale is not None else lambda y: float(np.linalg.norm(y))
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
-        self._k = np.zeros((_STAGES + 1, self.y.size))
-        fun(self.t, self.y, self._k[_ROW[0]])  # the FSAL carry
+        n = self.y.size
+        k = np.zeros((_STAGES + 1, n))  # the stage matrix
+        self._rows = rows = tuple(k)  # the only outs fun sees
+        self._yi = yi = self.y.copy()  # the only argument fun sees
+        fun(self.t, yi, rows[_ROW[0]])  # the FSAL carry
         self.n_rhs = 1
-        self._yi = np.empty(self.y.size)  # stage arguments
-        self._dy = np.empty((3, self.y.size))  # y_new - y, e5 and e3
+        self._dy = np.empty((3, n))  # y_new - y, e5 and e3
         self._wf = _FINAL_ROWS[2].copy()  # the final weights, row 0 times h
+        self._hw = np.empty_like(_STAGE_W)  # every stage's weights times h
+        # Per stage: the product of its weights and the rows they weight, its
+        # node and its row.  One weight is a multiply: numpy 2.4's matmul
+        # skips BLAS on one row and runs 7x slower.
+        self._stages = tuple(
+            (np.multiply, self._hw[i, lo:hi], k[lo], c, rows[row]) if hi - lo == 1
+            else (np.matmul, self._hw[i, lo:hi], k[lo:hi], c, rows[row])
+            for i, (row, c, lo, hi) in enumerate(_STAGE_PLAN))
+        self._k_final = k[_FINAL_ROWS[0]:_FINAL_ROWS[1]]
         if first_step is not None:
             if not first_step > 0.0:
                 raise ValueError("first_step must be positive")
@@ -270,12 +283,13 @@ class Dop853:
 
     def _initial_step(self) -> float:
         # Hairer-Norsett-Wanner automatic initial step (simplified).
-        k1, f1 = self._k[_ROW[0]], self._k[_STAGES]
+        k1, f1, y1 = self._rows[_ROW[0]], self._rows[_STAGES], self._yi
         tol = self._tol(self.y)
         d0 = float(np.linalg.norm(self.y))
         d1 = float(np.linalg.norm(k1))
         h0 = 1e-6 if d1 <= 1e-300 else 0.01 * max(d0, 1.0) / d1
-        y1 = self.y + h0 * k1
+        np.multiply(k1, h0, out=y1)
+        y1 += self.y
         self.fun(self.t + h0, y1, f1)
         self.n_rhs += 1
         d2 = float(np.linalg.norm(f1 - k1)) / h0
@@ -287,8 +301,8 @@ class Dop853:
         """Advance one accepted step, never beyond ``t_cap``."""
         if t_cap <= self.t:
             raise ValueError("t_cap must exceed current time")
-        k, y, t, fun, yi, dy, wf = self._k, self.y, self.t, self.fun, self._yi, self._dy, self._wf
-        lo_f, hi_f, w_f = _FINAL_ROWS
+        y, t, fun, yi, dy, wf, hw = self.y, self.t, self.fun, self._yi, self._dy, self._wf, self._hw
+        rows, w_f = self._rows, _FINAL_ROWS[2]
         rejected = False
         while True:
             h = self.h
@@ -298,18 +312,16 @@ class Dop853:
             if clipped:
                 h = t_cap - t
 
-            hw = h * _STAGE_W
-            for (row, c, lo, hi), w in zip(_STAGE_PLAN, hw):
-                if hi - lo == 1:  # numpy 2.4's matmul skips BLAS here: 7x slower
-                    np.multiply(w[lo], k[lo], out=yi)
-                else:
-                    np.matmul(w[lo:hi], k[lo:hi], out=yi)
+            np.multiply(_STAGE_W, h, out=hw)
+            for product, w, ks, c, out in self._stages:
+                product(w, ks, yi)
                 yi += y
-                fun(t + c * h, yi, k[row])
+                fun(t + c * h, yi, out)
             np.multiply(w_f[0], h, out=wf[0])
-            np.matmul(wf, k[lo_f:hi_f], out=dy)
-            y_new = y + dy[0]  # fresh: callers keep self.y across steps
-            fun(t + h, y_new, k[_STAGES])  # FSAL
+            np.matmul(wf, self._k_final, out=dy)
+            np.add(y, dy[0], out=yi)
+            y_new = yi.copy()  # fresh: callers keep self.y across steps
+            fun(t + h, yi, rows[_STAGES])  # FSAL
             self.n_rhs += _STAGES
             e5_sq = float(np.dot(dy[1], dy[1]))
             denom = e5_sq + 0.01 * float(np.dot(dy[2], dy[2]))
@@ -321,7 +333,7 @@ class Dop853:
             if ratio <= 1.0:
                 self.t = t_cap if clipped else t + h
                 self.y = y_new
-                k[_ROW[0]] = k[_STAGES]
+                rows[_ROW[0]][:] = rows[_STAGES]
                 self.n_accepted += 1
                 # after a rejection the step may not grow
                 h_next = h * min(factor, 1.0 if rejected else _MAX_FACTOR)

@@ -344,13 +344,14 @@ class TestUsageErrors:
 
     def test_help_states_no_none_default(self, capsys):
         # help that says what an option does when left out shows no
-        # "(default: None)" beside it
+        # "(default: None)" beside it, nor the "(default: )" of an empty one
         parser = cli.build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert set(sub.choices) >= {"flow", "spectrum", "fig1", "compare-generators"}
         for name, subparser in sub.choices.items():
             text = subparser.format_help()
             assert "(default: None)" not in text, name
+            assert "(default: )" not in text, name
             assert "(default: " in text, name
 
 

@@ -233,10 +233,27 @@ class TestStepper:
         assert stepper.n_rejected == 0
         assert (peak - base) / (8 * n) <= 2.5
 
+    def test_fun_sees_one_argument_and_the_stage_rows(self):
+        # every evaluation, the first and the automatic initial step's
+        # included, reads the one kept argument buffer and writes one of the
+        # 13 stage rows, through accepted and rejected attempts alike
+        args, outs = {}, {}
+
+        def rhs(t, y, out):
+            args[id(y)], outs[id(out)] = y, out  # kept alive: ids stay unique
+            np.divide(y, 1.0 - t, out=out)
+
+        stepper = Dop853(rhs, 0.0, np.array([1.0, 2.0]))
+        while stepper.t < 0.999:
+            stepper.step(0.999)
+        assert stepper.n_rejected >= 3
+        assert len(args) == 1 and len(outs) <= 13
+
     def test_sign_flow_step_allocates_under_two_states(self, monkeypatch):
-        # the flow's stencil writes into its stage row: on a long M = 1
-        # state a step allocates y_new and the stencil's n - 1 squared
-        # couplings, not a zeroed buffer per RHS evaluation
+        # the flow's stencil replays calls on the stepper's own buffers: on
+        # a long M = 1 state a step allocates y_new and the stencil
+        # allocates nothing, neither a zeroed buffer nor a temporary per
+        # RHS evaluation
         class Measured(flow.Dopri54):
             def step(self, t_cap):
                 super().step(t_cap)
@@ -405,7 +422,7 @@ class TestGenerators:
         y = h.rows().copy()
         y[pad] = np.nan
         out = np.zeros(y.size)
-        flow._banded_rhs_inplace(y.ravel(), out, n, m)
+        flow._Stencil(n, m)(0.0, y.ravel(), out)
         got = out.reshape(m + 1, n)
         assert np.all(got[pad] == 0.0)
         assert np.array_equal(got, expect)
@@ -421,14 +438,29 @@ class TestGenerators:
         y = h.rows().ravel()
         want = accumulated_stencil(y, n, m)
         pad = (np.add.outer(np.arange(m + 1), np.arange(n)) >= n).ravel()
+        stencil = flow._Stencil(n, m)
         for fill in (0.0, np.nan):
             out = np.where(pad, 0.0, fill)
-            flow._banded_rhs_inplace(y, out, n, m)
+            stencil(0.0, y, out)
             assert out.tobytes() == want.tobytes()
         marked = np.where(pad, 7.0, np.nan)
-        flow._banded_rhs_inplace(y, marked, n, m)
+        stencil(0.0, y, marked)
         assert np.all(marked[pad] == 7.0)
         assert marked[~pad].tobytes() == want[~pad].tobytes()
+
+    @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (12, 3), (30, 5)])
+    def test_stencil_replays_each_pair_on_its_own_buffers(self, n, m):
+        # one stencil called in turn on two pairs of buffers: each program
+        # reads the values its pair holds at the call, and the shared
+        # scratch row carries nothing from one call to the next
+        stencil = flow._Stencil(n, m)
+        pairs = [(np.empty((m + 1) * n), np.zeros((m + 1) * n)) for _ in range(2)]
+        for seed in range(6):
+            y, out = pairs[seed % 2]
+            y[:] = random_banded(seed, n, m).rows().ravel()
+            stencil(0.0, y, out)
+            assert out.tobytes() == accumulated_stencil(y, n, m).tobytes()
+        assert len(stencil._programs) == 2
 
     def test_wegner_rhs_diagonal_fixed_point(self):
         assert np.all(wegner_rhs(np.diag([1.0, 3.0, -2.0])) == 0.0)
@@ -666,6 +698,21 @@ class TestScaleAndStats:
         assert res.converged
         assert len(calls) == scans
 
+    def test_stencil_compiles_at_most_a_program_per_stage_row(self, monkeypatch):
+        # a stepper calls its stencil on one argument buffer and 13 stage
+        # rows, so no stencil compiles more than 13 programs
+        stencils = []
+
+        class Recorded(flow._Stencil):
+            def __init__(self, n, m):
+                super().__init__(n, m)
+                stencils.append(self)
+
+        monkeypatch.setattr(flow, "_Stencil", Recorded)
+        integrate_flow(random_banded(0, 200, 1))  # 8 steppers
+        assert len(stencils) == 8
+        assert all(0 < len(s._programs) <= 13 for s in stencils)
+
     def test_flow_leaves_no_reference_cycles(self):
         # a stepper calls back into its block, so the block must let go of
         # it when it stops: a cycle would keep the stepper's stage arrays
@@ -837,7 +884,7 @@ def stepped_pair(h, ells):
     """
     (a, c), (b, _) = h.rows()
     h_max = 0.1 / math.hypot(a - c, 2.0 * b)
-    stepper = Dop853(stencil_rhs(2, 1), 0.0, h.rows().ravel(), rel_tol=1e-13, abs_tol=1e-300)
+    stepper = Dop853(flow._Stencil(2, 1), 0.0, h.rows().ravel(), rel_tol=1e-13, abs_tol=1e-300)
     states = []
     for ell in ells:
         while stepper.t < ell:
@@ -1091,21 +1138,11 @@ class TestFlowProperties:
             np.testing.assert_allclose(np.sort(res.final.diagonal()), ev, rtol=0.0, atol=tol)
 
 
-def stencil_rhs(n, m):
-    """The sign flow's dH/dl on a flattened row array of width n, band m,
-    written into out as the stepper asks."""
-
-    def rhs(_ell, y, out):
-        flow._banded_rhs_inplace(y, out, n, m)
-
-    return rhs
-
-
 def stepped_band(h, ells, rel_tol):
     """Row arrays of h's sign flow at ells by DOP853 on the stencil alone:
     one undeflated system, no jump, no closed form."""
     n, m = h.dim, h.bandwidth
-    stepper = Dop853(stencil_rhs(n, m), 0.0, h.rows().ravel(), rel_tol=rel_tol, abs_tol=1e-300)
+    stepper = Dop853(flow._Stencil(n, m), 0.0, h.rows().ravel(), rel_tol=rel_tol, abs_tol=1e-300)
     states = []
     for ell in ells:
         while stepper.t < ell:
@@ -1132,7 +1169,7 @@ def default_stepped_band(h, ells, convergence_tol):
         return float(np.dot(y[:n], y[:n])) + off_sq(y)
 
     conv_off_sq = convergence_tol**2 * max(frob_sq(y0), 1e-300)
-    stepper = Dop853(stencil_rhs(n, m), 0.0, y0, rel_tol=1e-10, abs_tol=1e-12,
+    stepper = Dop853(flow._Stencil(n, m), 0.0, y0, rel_tol=1e-10, abs_tol=1e-12,
                      scale=lambda y: math.sqrt(frob_sq(y)))
     states = []
     for ell in ells:
