@@ -85,7 +85,7 @@ _WEGNER_CAP = 256
 _DECAY_FIT_FLOOR = 1e-12  # times ||H||_F; below this, roundoff dominates log fits
 _DEFLATE_EVERY = 4  # accepted steps between boundary scans
 _STEP_RATE = 0.4  # guess at DOP853's step times the block's rate r: 0.37-0.80 (see _Block)
-_JUMP_ROWS = 48  # block size whose jump costs about one step at M = 3
+_JUMP_ROWS = 48  # block size whose jump cost about one step at M = 3 (see _jumps_pay)
 _JUMP_BISECTIONS = 2  # halvings that place a deflation inside a jump
 _UNIT_ROUNDOFF = 2.0**-53
 # 1/k! for k = 0..15, the Taylor polynomial of the jump's exponential, as
@@ -409,26 +409,63 @@ def _jumps_pay(state: _State, span: float, step: float) -> bool:
     of a jump in steps.  A jump does O(N^3) dense work and a step
     O(N M^2) stencil work behind a fixed call overhead; measured on
     2 vCPUs, a jump took 0.5 ms at 48 rows and 0.7 ms at 64, a step 0.8 ms
-    at M = 3 and 0.2 ms at M = 1, hence (N / 48)^3 * 4 / (M + 1) steps.
-    Timed alone at N = 48 to 128 and M = 1 to 4, a jump cost 0.2 to 0.7
-    of that many steps, so the estimate leans toward steps.  A block too
+    at M = 3 and 0.2 ms at M = 1, hence (N / 48)^3 * 4 / (M + 1) steps
+    with _JUMP_ROWS = 48.  Timed alone at N = 48 to 128 and M = 1 to 4, a
+    jump cost 0.2 to 0.7 of that many steps, so the estimate leans toward
+    steps.  With the QR on LAPACK's gufuncs it leans further: on the same
+    machine, with one BLAS thread and M = 3, a jump (exponential and QR)
+    takes 0.16 ms at 48 rows and 0.27 ms at 64, about 0.6 and 0.9 of a
+    0.26 to 0.3 ms step, where the model says 1 and 2.4.  The model stays
+    as it is, since a new price changes which blocks jump, and so the
+    results.  A block too
     large for a jump to pay at step _STEP_RATE / (2 s), the shortest that
     the guess of :class:`_Block` predicts (r <= 2 s), steps whatever its
     step: about 160 to 200 rows.  s is asked of state only for a block
     small enough that a jump can pay.
     """
-    mb, nb = state.rows.shape[0] - 1, state.rows.shape[1]
+    cost = _jump_cost(state.rows, span)
+    return cost is not None and span / (state.spread() * step) >= cost
+
+
+def _jump_cost(rows: np.ndarray, span: float) -> float | None:
+    """A jump's cost in steps for a block with rows (see :func:`_jumps_pay`),
+    or None for a block too large for a jump to pay at any step."""
+    mb, nb = rows.shape[0] - 1, rows.shape[1]
     cost = (nb / _JUMP_ROWS) ** 3 * 4.0 / (mb + 1)
-    if cost > 2.0 * span / _STEP_RATE:
-        return False
-    return span / (state.spread() * step) >= cost
+    return None if cost > 2.0 * span / _STEP_RATE else cost
+
+
+def _jumps_pay_at_rate(state: _State, span: float, rate: float) -> bool:
+    """:func:`_jumps_pay` at the step rate / r that a block predicts from
+    the h r it ran at, r its :func:`_coupling_rate`.
+
+    r >= 4 max|h_nm| in rounded arithmetic too, since rounding is
+    monotone, so rate / (4 max|h_nm|) is a step at least as long, and
+    where jumps pay at it they pay at rate / r: r is computed only where
+    they do not.  At seed 0 the bound settles 1,451 of the ensemble's
+    1,462 choices and 326 of fig1's 822.
+    """
+    cost = _jump_cost(state.rows, span)
+    if cost is not None:
+        longest = rate / (4.0 * float(np.abs(state.rows[1:]).max()))
+        if span / (state.spread() * longest) >= cost:
+            return True
+    return _jumps_pay(state, span, rate / _coupling_rate(state.rows))
 
 
 def _has_unsorted_pair(rows: np.ndarray) -> bool:
-    """Whether some n < m with h_nm != 0 has h_nn > h_mm."""
-    d, n = rows[0], rows.shape[1]
-    return any(np.any((rows[k, : n - k] != 0.0) & (d[: n - k] > d[k:]))
-               for k in range(1, rows.shape[0]))
+    """Whether some n < m with h_nm != 0 has h_nn > h_mm.
+
+    h_mm beside each slot (k, n) of bands k = 1..M is read from M + 1
+    copies of the diagonal through a reshape with a row stride of N + 1:
+    row k - 1 of that view is the diagonal moved k to the left, and its
+    padding slots (n + k >= N) read other diagonal entries, masked out by
+    h_nm = 0."""
+    m, n = rows.shape[0] - 1, rows.shape[1]
+    copies = np.empty((m + 1, n))
+    copies[:] = rows[0]
+    partner = copies.ravel()[1 : 1 + m * (n + 1)].reshape(m, n + 1)[:, :n]
+    return bool(((rows[1:] != 0.0) & (rows[0] > partner)).any())
 
 
 def _off_sq(y: np.ndarray, n: int) -> float:
@@ -478,7 +515,7 @@ def _expm(a: np.ndarray):
     these are what this function returns for a / 2 and a / 4, bit for bit.
     """
     n = a.shape[0]
-    norm = float(np.max(np.abs(a).sum(axis=0)))
+    norm = float(np.abs(a).sum(axis=0).max())
     frac, exp = math.frexp(norm)  # norm = frac 2^exp, 1/2 <= frac < 1
     j = max(0, exp if frac == 0.5 else exp + 1) if norm > 0.0 else 0
     powers = np.empty((4, n, n))  # I, B, B^2, B^3
@@ -501,6 +538,28 @@ def _expm(a: np.ndarray):
     return e, half, quarter
 
 
+def _lapack_qr():
+    """numpy.linalg.qr's own gufuncs for a square matrix: qr_r_raw(a), which
+    factors a in place (dgeqrf) and returns tau, and qr_reduced(a, tau),
+    which forms Q (dorgqr).  numpy 1.x may name them by their core
+    dimension, qr_r_raw_m and qr_reduced_m for m <= n, so each name is
+    looked up in both spellings.  They are private to numpy: a numpy that
+    has neither fails here, at import, and the QR tests in test_flow.py
+    pin what they return to numpy.linalg.qr's results."""
+    from numpy.linalg import _umath_linalg as lapack
+
+    found = [next((getattr(lapack, name) for name in (base, base + "_m")
+                   if hasattr(lapack, name)), None)
+             for base in ("qr_r_raw", "qr_reduced")]
+    if None in found:
+        raise ImportError(f"bandflow needs numpy.linalg's LAPACK QR gufuncs, "
+                          f"which numpy {np.__version__} does not have")
+    return found
+
+
+_qr_r_raw, _qr_reduced = _lapack_qr()
+
+
 def _qr_jump(h: np.ndarray, dl: float, sigma: float, expms: dict) -> np.ndarray:
     """Exact sign flow of the dense block h over dl: Q^T h Q.
 
@@ -510,6 +569,15 @@ def _qr_jump(h: np.ndarray, dl: float, sigma: float, expms: dict) -> np.ndarray:
     the centre of a Gershgorin interval of width s it keeps the
     exponential's eigenvalues in [e^{-dl s / 2}, e^{dl s / 2}].  Columns of
     Q are accurate to about u * cond(e^{-dl H}), u the unit roundoff.
+
+    The QR is LAPACK's dgeqrf then dorgqr, through the two gufuncs that
+    numpy.linalg.qr calls (see :func:`_lapack_qr`), on one copy of the
+    exponential: dgeqrf leaves R in the copy's upper triangle, so the
+    signs of its diagonal are read there and no R is formed.  Q is the
+    one numpy.linalg.qr returns, bit for bit, without its wrapper's
+    checks, casts, errstate blocks and triu: on 2 vCPUs with one BLAS
+    thread, numpy.linalg.qr took 33 µs at 5 rows and 112 µs at 60, the
+    two gufuncs 7 µs and 89 µs.
 
     expms maps a step to e^{-step (h - sigma)} for this h and sigma.  A
     step found there costs no exponential; one that is not leaves its
@@ -525,8 +593,9 @@ def _qr_jump(h: np.ndarray, dl: float, sigma: float, expms: dict) -> np.ndarray:
         for part, step in ((e, dl), (half, 0.5 * dl), (quarter, 0.25 * dl)):
             if part is not None:
                 expms[step] = part
-    q, r = np.linalg.qr(e)
-    q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    a = e.copy()  # e stays in expms
+    q = _qr_reduced(a, _qr_r_raw(a))
+    q *= np.where(a.diagonal() < 0.0, -1.0, 1.0)
     return q.T @ h @ q
 
 
@@ -746,7 +815,8 @@ class _BandedFlow:
         d = e[0]
         spread = float(d.max() - d.min())
         cap = max(self.theta_sq, self.shift_budget * (spread + 1.0))
-        if not (cr <= cap).any():
+        small = cr <= cap
+        if not small.any():
             return []
         floors, ceilings = state.edges()[:2]
         hi = np.maximum.accumulate(ceilings)  # spectral ceiling of 0..c-1
@@ -756,11 +826,8 @@ class _BandedFlow:
         if (~ordered & (cr == 0.0)).any():  # only there can nothing cross
             ordered |= uncoupled_cuts(e)
         weyl = cr <= self.theta_sq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quad = (sep > 0.0) & (cr <= (0.25 * sep) ** 2) & (
-                2.0 * cr <= self.shift_budget * sep
-            )
-        return [int(c) + 1 for c in np.nonzero(ordered & (weyl | quad) & (cr <= cap))[0]]
+        quad = (sep > 0.0) & (cr <= (0.25 * sep) ** 2) & (2.0 * cr <= self.shift_budget * sep)
+        return (np.flatnonzero(ordered & (weyl | quad) & small) + 1).tolist()
 
     # -- main loop ----------------------------------------------------------
 
@@ -910,8 +977,7 @@ class _Block:
         by one exact QR jump or one step a pass (see :class:`_BandedFlow`)."""
         flow, ell = self.flow, self.ell
         run_ell = ell  # where the current run of jumps or steps started
-        if not flow.wegner and _jumps_pay(self.measured(y), flow.span,
-                                          self.rate / _coupling_rate(self.rows)):
+        if not flow.wegner and _jumps_pay_at_rate(self.measured(y), flow.span, self.rate):
             self.jump_from(y)
         else:
             self.step_from(ell, y)
@@ -924,8 +990,7 @@ class _Block:
                     cuts = [] if converged else flow._deflation_cuts(state)
                 if converged or cuts or ell >= flow.ell_max:
                     return ell, y, cuts
-                if ell > run_ell and not _jumps_pay(state, flow.span,
-                                                    self.rate / _coupling_rate(state.rows)):
+                if ell > run_ell and not _jumps_pay_at_rate(state, flow.span, self.rate):
                     self.close_run(y)  # steps pay now
                     self.step_from(ell, y)
                     run_ell = ell
@@ -987,7 +1052,11 @@ class _Block:
         h[bi, bj] = h[bj, bi] = y[band]
         dropped = ~_flow_pattern(h)
         kept = ~dropped[bi, bj]
-        self.pattern = band[kept], bi[kept], bj[kept], dropped
+        bi, bj = bi[kept], bj[kept]
+        # as flat indices of the dense block: kept slots above and below
+        # the diagonal, and the dropped entries in row-major order
+        self.pattern = (band[kept], bi * self.nb + bj, bj * self.nb + bi,
+                        np.flatnonzero(dropped))
 
     def jump(self, state: _State, ell: float, t_cap: float,
              dl: float | None = None) -> tuple[float, np.ndarray, float, list[int]]:
@@ -996,20 +1065,21 @@ class _Block:
         the landing state's y, the step taken and where the landing may be
         cut (nowhere if it is converged)."""
         flow, cfg = self.flow, self.flow.config
-        slots, ii, jj, dropped = self.pattern
-        h = np.zeros((self.nb, self.nb))
-        h[ii, jj] = h[jj, ii] = state.y[slots]
+        slots, upper, lower, dropped = self.pattern
+        h = np.zeros(self.nb * self.nb)
+        h[upper] = h[lower] = state.y[slots]
+        h = h.reshape(self.nb, self.nb)
         _, _, lo, hi = state.edges()
         if dl is None:
             dl = flow.span / (hi - lo)
         tol = cfg.abs_tol + cfg.rel_tol * math.sqrt(state.diag_sq + state.off_sq)
         while True:
-            if dl <= 16.0 * np.finfo(float).eps * max(abs(ell), 1.0):
+            if dl <= 16.0 * sys.float_info.epsilon * max(abs(ell), 1.0):
                 raise StepSizeUnderflow(ell, f"jump underflow at ell={ell:.6g}")
             clipped = ell + dl >= t_cap
             step = t_cap - ell if clipped else dl
             g = _qr_jump(h, step, 0.5 * (lo + hi), state.expms)
-            removed = g[dropped]
+            removed = g.take(dropped)
             removed_sq = float(np.dot(removed, removed))
             if math.sqrt(removed_sq) <= tol:
                 break
@@ -1017,7 +1087,7 @@ class _Block:
         flow.report.frobenius_drift += removed_sq / max(flow.frob0_sq, 1e-300)
         flow.n_jumps += 1
         y = np.zeros_like(state.y)
-        y[slots] = g[ii, jj]
+        y[slots] = g.take(upper)
         landed = self.measured(y)
         cuts = [] if landed.off_sq <= flow.conv_off_sq else flow._deflation_cuts(landed)
         return (t_cap if clipped else ell + step), y, step, cuts

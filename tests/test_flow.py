@@ -1320,6 +1320,123 @@ class TestJumpParts:
         assert res.converged and res.stats.n_deflations == 1
         assert 0 < len(calls) < res.stats.n_jumps
 
+    @staticmethod
+    def assert_qr_matches_numpy(h, e, dl):
+        # the jump factors e through numpy.linalg.qr's own gufuncs: Q, the
+        # signs of R's diagonal and Q^T h Q equal numpy.linalg.qr's, bit for
+        # bit (a numpy that moves or changes those gufuncs fails here)
+        q_ref, r_ref = np.linalg.qr(e)
+        sign_ref = np.where(np.diagonal(r_ref) < 0.0, -1.0, 1.0)
+        q_ref = q_ref * sign_ref
+        a = e.copy()
+        q = flow._qr_reduced(a, flow._qr_r_raw(a))
+        sign = np.where(a.diagonal() < 0.0, -1.0, 1.0)
+        assert np.array_equal(sign, sign_ref)
+        assert np.array_equal(q * sign, q_ref)
+        kept = e.copy()
+        assert np.array_equal(flow._qr_jump(h, dl, 0.0, {dl: e}), q_ref.T @ h @ q_ref)
+        assert np.array_equal(e, kept)  # the kept exponential is not factored in place
+        return sign
+
+    def test_qr_matches_numpy_at_every_size(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 65):
+            h = random_banded(n, n, min(3, n - 1)).to_dense()
+            self.assert_qr_matches_numpy(h, rng.standard_normal((n, n)), 1.0)
+
+    def test_qr_matches_numpy_on_ensemble_exponentials(self):
+        # the benchmark ensemble's 60-row blocks, factored as a first jump
+        # factors them: e^{-dl (H - sigma)} over one span
+        for k in range(4):
+            rng = np.random.default_rng(k)
+            rows = BandedSymmetricMatrix(60, 3, [rng.uniform(-1.0, 1.0, 60 - j)
+                                                 for j in range(4)]).rows()
+            _, _, lo, hi = flow._State(rows.ravel(), 60).edges()
+            dl, sigma = SPAN / (hi - lo), 0.5 * (lo + hi)
+            h = BandedSymmetricMatrix.from_rows(rows).to_dense()
+            e = flow._expm(-dl * (h - sigma * np.eye(60)))[0]
+            self.assert_qr_matches_numpy(h, e, dl)
+
+    def test_qr_flips_negative_diagonal_of_r(self):
+        # Householder QR leaves R's diagonal with either sign: here some are
+        # negative, and the jump turns those columns of Q over
+        e = np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 4.0]])
+        sign = self.assert_qr_matches_numpy(tridiag123().to_dense(), e, 1.0)
+        assert (sign < 0.0).any() and (sign > 0.0).any()
+
+
+@st.composite
+def extreme_rows(draw):
+    """An (M+1) x N row array, M = 0..4 and N = 1..40, whose entries mix
+    zeros of both signs, values of order 1 and values near 1e-160 and 1e150,
+    whose squares underflow or come near the top of the float range; its
+    diagonal is sorted in about half the draws."""
+    n = draw(st.integers(1, 40))
+    m = min(draw(st.integers(0, 4)), n - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = np.array([0.0, -0.0, 1.0, 1e-160, 1e150])
+    weights = draw(st.sampled_from([(0, 0, 1, 0, 0), (1, 1, 2, 0, 0), (1, 1, 1, 1, 1),
+                                    (0, 0, 1, 2, 0), (0, 1, 1, 0, 2), (2, 2, 0, 1, 1)]))
+    p = np.array(weights, dtype=float) / sum(weights)
+    rows = np.zeros((m + 1, n))
+    for k in range(m + 1):
+        rows[k, : n - k] = rng.uniform(-1.0, 1.0, n - k) * rng.choice(scales, n - k, p=p)
+    if draw(st.booleans()):  # a sorted diagonal, as the flow leaves it
+        rows[0].sort()
+    return rows
+
+
+def reference_unsorted_pair(rows):
+    """flow._has_unsorted_pair entry by entry."""
+    d, n = rows[0], rows.shape[1]
+    return any(rows[k, j] != 0.0 and d[j] > d[j + k]
+               for k in range(1, rows.shape[0]) for j in range(n - k))
+
+
+def scaled_as_flowed(rows):
+    """rows / 2^k with max|h_nm| / 2^k in [0.5, 1), as integrate_flow flows them."""
+    return np.ldexp(rows, -int(np.frexp(float(np.max(np.abs(rows))))[1]))
+
+
+class TestLandingChecks:
+    """The checks at a jump's landing on extreme inputs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=extreme_rows())
+    def test_unsorted_pair_matches_reference(self, rows):
+        assert flow._has_unsorted_pair(rows) is reference_unsorted_pair(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=extreme_rows(), f=st.floats(0.25, 4.0))
+    def test_bound_gives_the_full_choice(self, rows, f):
+        # r >= 4 max|h_nm| however it rounds: where jumps pay at the step
+        # rate / (4 max|h_nm|), they pay at rate / r, and the shortcut's
+        # choice is the full one.  rate is drawn around the rate at which
+        # the full choice flips, so that both choices are drawn.  The flow
+        # chooses on H / 2^k (see scaled_as_flowed).
+        rows = scaled_as_flowed(rows)
+        off = np.abs(rows[1:])
+        if off.size == 0 or not off.max() > 0.0:
+            return  # no coupling: a block like this is never asked
+        state = flow._State(rows.ravel(), rows.shape[1])
+        r = flow._coupling_rate(rows)
+        rate = f * SPAN * r / (state.spread() * flow._jump_cost(rows, SPAN))
+        full = flow._jumps_pay(state, SPAN, rate / r)
+        if flow._jumps_pay(state, SPAN, rate / (4.0 * float(off.max()))):
+            assert full
+        assert flow._jumps_pay_at_rate(state, SPAN, rate) == full
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=extreme_rows())
+    def test_deflation_scan_neither_divides_nor_overflows(self, rows):
+        # the scan runs on H / 2^k with no errstate of its own: nothing in it
+        # divides by zero, overflows or forms a NaN
+        h = BandedSymmetricMatrix.from_rows(scaled_as_flowed(rows))
+        scan = flow._BandedFlow(h, FlowConfig())
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            cuts = scan._deflation_cuts(flow._State(h.rows().ravel(), h.dim))
+        assert all(0 < c < h.dim for c in cuts)
+
 
 class TestQRJumps:
     """Sign-flow blocks of 3 or more rows jump or step as their own state
