@@ -36,10 +36,8 @@ splits off 2x2 blocks more than any other size, and the sign flow of a
 are evaluated in closed form and build no stepper.  The sign flow of any
 block is the symmetric QR flow, so a larger block can advance by exact QR
 jumps instead of steps.  One loop advances such a block by a jump or a
-step a pass, whichever its own state, and the step its stepper last ran
-at, predict to cost less (see _jumps_pay), deciding anew as it flows and
-switching in place.  At the default rel_tol a block of 3 to 32 rows
-whose couplings connect it always jumps.  Wegner flows always step.
+step a pass, as :func:`_jumps_pay` chooses anew as it flows, and switches
+in place.  Wegner flows always step.
 
 Every flow runs on H / 2^k, with 2^k the binary exponent of max|h_nm|, so
 that squared entries and norms neither overflow nor underflow at any
@@ -84,8 +82,8 @@ __all__ = [
 _WEGNER_CAP = 256
 _DECAY_FIT_FLOOR = 1e-12  # times ||H||_F; below this, roundoff dominates log fits
 _DEFLATE_EVERY = 4  # accepted steps between boundary scans
-_STEP_RATE = 0.4  # guess at DOP853's step times the block's rate r: 0.37-0.80 (see _Block)
-_JUMP_ROWS = 48  # block size whose jump cost about one step at M = 3 (see _jumps_pay)
+_STEP_RATE = 0.4  # guess at DOP853's step times the block's rate r (see _jumps_pay)
+_JUMP_ROWS = 48  # block size whose jump is priced at one step at M = 3 (see _jumps_pay)
 _JUMP_BISECTIONS = 2  # halvings that place a deflation inside a jump
 _UNIT_ROUNDOFF = 2.0**-53
 # 1/k! for k = 0..15, the Taylor polynomial of the jump's exponential, as
@@ -195,9 +193,8 @@ class FlowStats:
     its block's history: blocks split off, and blocks that switch from
     jumps back to steps, start at the last step size.  So an irreducible
     input that steps from the start estimates once, and one that never
-    steps (at the default rel_tol, any sign-flow input of at most 32 rows
-    whose couplings connect it) costs no RHS evaluation.  A jump halved
-    and retried counts once.
+    steps (see :func:`_jumps_pay`) costs no RHS evaluation.  A jump
+    halved and retried counts once.
     """
 
     n_rhs: int = 0
@@ -401,56 +398,67 @@ def _coupling_rate(rows: np.ndarray) -> float:
     return rate
 
 
-def _jumps_pay(state: _State, span: float, step: float) -> bool:
-    """Whether exact QR jumps beat DOP853 steps for a sign-flow block in state.
+def _jumps_pay(state: _State, span: float, step: float | None = None,
+               rate: float = _STEP_RATE) -> bool:
+    """Whether exact QR jumps beat DOP853 steps for a sign-flow block in
+    state: the one rule by which a block of 3 or more rows chooses, when it
+    starts, at every deflation scan while it steps and at every landing
+    while it jumps.
 
-    Weighs the steps a stepper of step size step takes over one jump span,
-    span / (s step) for the block's Gershgorin spread s, against the cost
-    of a jump in steps.  A jump does O(N^3) dense work and a step
-    O(N M^2) stencil work behind a fixed call overhead; measured on
-    2 vCPUs, a jump took 0.5 ms at 48 rows and 0.7 ms at 64, a step 0.8 ms
-    at M = 3 and 0.2 ms at M = 1, hence (N / 48)^3 * 4 / (M + 1) steps
-    with _JUMP_ROWS = 48.  Timed alone at N = 48 to 128 and M = 1 to 4, a
-    jump cost 0.2 to 0.7 of that many steps, so the estimate leans toward
-    steps.  With the QR on LAPACK's gufuncs it leans further: on the same
-    machine, with one BLAS thread and M = 3, a jump (exponential and QR)
-    takes 0.16 ms at 48 rows and 0.27 ms at 64, about 0.6 and 0.9 of a
-    0.26 to 0.3 ms step, where the model says 1 and 2.4.  The model stays
-    as it is, since a new price changes which blocks jump, and so the
-    results.  A block too
-    large for a jump to pay at step _STEP_RATE / (2 s), the shortest that
-    the guess of :class:`_Block` predicts (r <= 2 s), steps whatever its
-    step: about 160 to 200 rows.  s is asked of state only for a block
-    small enough that a jump can pay.
+    Jumps pay where the steps over one jump span, span / (s h) for the
+    block's Gershgorin spread s and step h, reach the price of a jump,
+    (N / 48)^3 * 4 / (M + 1) steps (_JUMP_ROWS = 48).  A stepping block
+    passes the step it judges by, the longer of its stepper's next step
+    and the mean step of its run so far.  Any other block passes its rate,
+    the h r of its last stepper (see :meth:`_Block.carry`) or, if none has
+    run, the guess _STEP_RATE (DOP853 kept h r at 0.37 to 0.80 over the
+    scans of flows that only step), and h is rate / r for r its
+    :func:`_coupling_rate`.  In this order:
+    - the cap: a block too large for a jump to pay at _STEP_RATE / (2 s),
+      the shortest step the guess predicts (r <= 2 s), steps whatever its
+      step, and s and r are not computed: above about 160 to 200 rows;
+    - the shortcut: r >= 4 max|h_nm| in rounded arithmetic too, since
+      rounding is monotone, so where jumps pay at rate / (4 max|h_nm|)
+      they pay at rate / r, and r is computed only where they do not;
+    - the prediction rate / r.
+
+    So a block with no stepper in its history whose couplings connect it
+    jumps at the default rel_tol if it has at most 32 rows: s <=
+    (N - 1 + M) r, since a path of at most N - 1 couplings joins the
+    extreme diagonal entries and every radius is at most M r / 2.  A piece
+    of a stepping block carries that stepper's h r at the split, 2.6 in
+    the median on fig1's chains, and may step: a 26-row piece does on fig1
+    at seed 7, and two 28-row pieces at seed 4.
+
+    Each part pays, as measured with one BLAS thread on 2 vCPUs:
+    - handing back from jumps to steps: without it, chains of 96 rows at
+      delta 1.0 to 1.2 take 2.4 times as long, and random bands of M = 1,
+      N = 96 and of M = 2, N = 128 about 1.35 and 1.4 times;
+    - handing over from steps to jumps: without it, random bands of 128
+      rows take 21%, 41% and 26% longer at M = 2, 3 and 4;
+    - choosing anew as the block flows: one choice at its start, even with
+      the better mode forced, costs 3%, 25% and 42% there;
+    - the carried h r: with the guess in its place, chains of 64 and 80
+      rows run 1.29 to 1.35 times as long;
+    - the mean step: the step dips where a pair turns, and judged by the
+      dip a block near the crossover hands over for a single jump and
+      back.  Random bands of M = 1, N = 128 then build 45 steppers, not 18,
+      and run 6% longer;
+    - the shortcut settles 1,451 of the ensemble's 1,462 choices at seed 0.
+    The price was fitted before jumps factored through LAPACK's gufuncs;
+    a jump now costs about 0.6 of it at 48 rows and M = 3.  It stays until
+    a workload whose blocks it decides can measure a refit.
     """
-    cost = _jump_cost(state.rows, span)
-    return cost is not None and span / (state.spread() * step) >= cost
-
-
-def _jump_cost(rows: np.ndarray, span: float) -> float | None:
-    """A jump's cost in steps for a block with rows (see :func:`_jumps_pay`),
-    or None for a block too large for a jump to pay at any step."""
-    mb, nb = rows.shape[0] - 1, rows.shape[1]
-    cost = (nb / _JUMP_ROWS) ** 3 * 4.0 / (mb + 1)
-    return None if cost > 2.0 * span / _STEP_RATE else cost
-
-
-def _jumps_pay_at_rate(state: _State, span: float, rate: float) -> bool:
-    """:func:`_jumps_pay` at the step rate / r that a block predicts from
-    the h r it ran at, r its :func:`_coupling_rate`.
-
-    r >= 4 max|h_nm| in rounded arithmetic too, since rounding is
-    monotone, so rate / (4 max|h_nm|) is a step at least as long, and
-    where jumps pay at it they pay at rate / r: r is computed only where
-    they do not.  At seed 0 the bound settles 1,451 of the ensemble's
-    1,462 choices and 326 of fig1's 822.
-    """
-    cost = _jump_cost(state.rows, span)
-    if cost is not None:
-        longest = rate / (4.0 * float(np.abs(state.rows[1:]).max()))
+    rows = state.rows
+    cost = (rows.shape[1] / _JUMP_ROWS) ** 3 * 4.0 / rows.shape[0]
+    if cost > 2.0 * span / _STEP_RATE:
+        return False
+    if step is None:
+        longest = rate / (4.0 * float(np.abs(rows[1:]).max()))
         if span / (state.spread() * longest) >= cost:
             return True
-    return _jumps_pay(state, span, rate / _coupling_rate(state.rows))
+        step = rate / _coupling_rate(rows)
+    return span / (state.spread() * step) >= cost
 
 
 def _has_unsorted_pair(rows: np.ndarray) -> bool:
@@ -668,16 +676,10 @@ class _BandedFlow:
     The sign generator flows with dynamic block deflation; the queue holds
     one :class:`_Block` per block, and 2x2 blocks flow in closed form.  A
     larger block advances in one loop, one exact QR jump or one DOP853
-    step a pass, as :func:`_jumps_pay` chooses from the block's state:
-    when the block starts, at every deflation scan while it steps and at
-    every landing while it jumps (from the h r its last stepper ran at, if
-    it had one).  A scan judges by the longer of the stepper's next step
-    and the mean step of its run so far: the step dips for a few steps
-    where a pair turns, and a block near the crossover judged by the dip
-    alone would hand over for a single jump and back.  It switches in
-    place: a stepper that hands over to jumps is dropped, keeping its step
-    h and the h r it was judged by, and a block that hands back to steps
-    builds a new stepper that starts at that h.  Under the automatic
+    step a pass, as :func:`_jumps_pay` chooses.  It switches in place: a
+    stepper that hands over to jumps is dropped (see :meth:`_Block.carry`),
+    and a block that hands back to steps builds a new stepper that starts
+    at the dropped one's step.  Under the automatic
     ell_max a 2x2 block runs to its convergence ell even past the cap.
     Wegner's generator, whose input arrives widened to M = N - 1,
     integrates the whole matrix as one undeflated system, never scanned.
@@ -831,7 +833,10 @@ class _BandedFlow:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> FlowResult:
+    def run(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Flow every block.  Returns the final row array and the snapshots',
+        in snapshot order; ell_final, converged, report and the counts stay
+        on the driver."""
         tasks: deque = deque()
         # Exactly-zero couplings split the input up front; the stencil never
         # regenerates them, so each block flows independently, and a block
@@ -840,37 +845,18 @@ class _BandedFlow:
         self._push_blocks(tasks, self.h0.rows(), 0, cuts, 0.0, None)
         while tasks:
             tasks.popleft().run(tasks)
-
-        return FlowResult(
-            final=BandedSymmetricMatrix.from_rows(self.final),
-            ell_final=self.ell_final,
-            converged=self.converged,
-            snapshots=[(s, BandedSymmetricMatrix.from_rows(self.snaps[s]))
-                       for s in self.snap_ells],
-            diagnostics=self.report,
-            stats=FlowStats(self.n_rhs, self.n_accepted, self.n_rejected,
-                            self.n_tasks, self.n_deflations, self.n_exact, self.n_jumps),
-        )
+        return self.final, [self.snaps[s] for s in self.snap_ells]
 
 
 class _Block:
     """A block of the flow queued at ell: rows start .. start + N_b - 1 of the
     matrix, as its own (M_b+1) x N_b row array.
 
-    h and rate pass from a block to the pieces it splits into.  h is the
-    step size of the last stepper in the block's history, and rate that
-    step h times the block's :func:`_coupling_rate` r when it stopped.
-    Until a stepper has run, h is None and rate is _STEP_RATE, a guess.
-    Measured at rel_tol 1e-10 with steps only, seed 0, N = 128 to 400
-    (10th to 90th percentile over deflation scans), h r stayed at 0.47 to
-    0.56 on random tridiagonals, 0.37 to 0.48 on random M = 3 blocks and
-    0.66 to 0.80 on spin-boson chains, so the guess overcounts the steps of
-    every block but the random M = 3 ones.  A block that is not stepping
-    predicts its step as rate / r.  If its couplings connect all N rows,
-    s <= (N - 1 + M) r for the Gershgorin spread s: a path of at most
-    N - 1 couplings joins the extreme diagonal entries, and every radius is
-    at most M r / 2.  So at the default rel_tol the guess makes every such
-    block of at most 32 rows jump.
+    h is the step of the last stepper in the block's history, and rate
+    the h r that :func:`_jumps_pay` predicts steps from while the block does
+    not step; :meth:`carry` sets both, and the pieces a block splits into
+    start with its own.  Until a stepper has run, h is None and rate is
+    _STEP_RATE.
 
     :meth:`run` flows the block by :meth:`pair` or :meth:`advance`, then
     cuts it and queues its pieces or writes it where it stops.  The block
@@ -899,12 +885,17 @@ class _Block:
             ell, y, cuts = self.advance(y)
         e = y.reshape(self.rows.shape)
         if cuts and self.stepper is not None:  # the pieces start at its step
-            self.h, self.rate = self.stepper.h, self.stepper.h * _coupling_rate(e)
+            self.carry(self.stepper.h, e)
         self.close_run(y)
         if cuts:
             flow._split(tasks, self.start, e, cuts, ell, self.h, self.rate)
         else:
             flow._finish(self.start, e, ell, self.measured(y).off_sq <= flow.conv_off_sq)
+
+    def carry(self, step: float, rows: np.ndarray) -> None:
+        """Keep the stepper's step as h, and step times the coupling rate of
+        rows as rate, for the jumps that follow and the pieces of a split."""
+        self.h, self.rate = self.stepper.h, step * _coupling_rate(rows)
 
     def measured(self, y: np.ndarray) -> _State:
         """The state y, measured once while it is the last one asked for."""
@@ -977,7 +968,7 @@ class _Block:
         by one exact QR jump or one step a pass (see :class:`_BandedFlow`)."""
         flow, ell = self.flow, self.ell
         run_ell = ell  # where the current run of jumps or steps started
-        if not flow.wegner and _jumps_pay_at_rate(self.measured(y), flow.span, self.rate):
+        if not flow.wegner and _jumps_pay(self.measured(y), flow.span, rate=self.rate):
             self.jump_from(y)
         else:
             self.step_from(ell, y)
@@ -990,7 +981,7 @@ class _Block:
                     cuts = [] if converged else flow._deflation_cuts(state)
                 if converged or cuts or ell >= flow.ell_max:
                     return ell, y, cuts
-                if ell > run_ell and not _jumps_pay_at_rate(state, flow.span, self.rate):
+                if ell > run_ell and not _jumps_pay(state, flow.span, rate=self.rate):
                     self.close_run(y)  # steps pay now
                     self.step_from(ell, y)
                     run_ell = ell
@@ -1000,10 +991,10 @@ class _Block:
                 cuts = flow._deflation_cuts(state)
                 if cuts:
                     return ell, y, cuts
-                # a dip of the step alone does not hand the block over
+                # judged by the mean step too (see _jumps_pay)
                 step = max(stepper.h, (ell - run_ell) / stepper.n_accepted)
                 if _jumps_pay(state, flow.span, step):
-                    self.h, self.rate = stepper.h, step * _coupling_rate(state.rows)
+                    self.carry(step, state.rows)
                     self.close_run(y)
                     self.jump_from(y)
                     run_ell = ell
@@ -1146,9 +1137,9 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
         ell_max=None if config.ell_max is None else scale_ell(config.ell_max),
         snapshot_ells=tuple(scale_ell(s) for s in config.snapshot_ells),
     )
-    h = BandedSymmetricMatrix.from_rows(_ldexp(rows, -k))
+    flow = _BandedFlow(BandedSymmetricMatrix.from_rows(_ldexp(rows, -k)), scaled)
     try:
-        res = _BandedFlow(h, scaled).run()
+        final, snaps = flow.run()
     except StiffFlowError as exc:
         raise StiffFlowError(
             float(_ldexp(exc.ell, -k_ell)),
@@ -1156,28 +1147,26 @@ def integrate_flow(h0: BandedSymmetricMatrix, config: FlowConfig | None = None) 
             float(_ldexp(exc.offdiag_sq, 2 * k)),
         ) from exc.__cause__
 
-    def unscale(mat: BandedSymmetricMatrix) -> BandedSymmetricMatrix:
-        rows = _ldexp(mat.rows(), k)
+    def unscale(rows: np.ndarray) -> BandedSymmetricMatrix:
+        rows = _ldexp(rows, k)
         if not np.all(np.isfinite(rows)):
             raise ValueError(f"flow result exceeds the float range (max {sys.float_info.max:.4g})")
         return BandedSymmetricMatrix.from_rows(rows)
 
-    ell_final = float(_ldexp(res.ell_final, -k_ell))
+    ell_final = float(_ldexp(flow.ell_final, -k_ell))
     if config.ell_max is not None:  # a saturated ell_max maps back past the caller's
         ell_final = min(ell_final, config.ell_max)
-    d = res.diagnostics
+    report = flow.report  # its frobenius_drift is already relative
+    report.trace_drift = float(_ldexp(report.trace_drift, k))
+    report.partial_trace_violation = float(_ldexp(report.partial_trace_violation, k))
     return FlowResult(
-        final=unscale(res.final),
+        final=unscale(final),
         ell_final=ell_final,
-        converged=res.converged,
-        snapshots=[(ell, unscale(mat))
-                   for ell, (_, mat) in zip(config.snapshot_ells, res.snapshots)],
-        diagnostics=ConservationReport(
-            trace_drift=float(_ldexp(d.trace_drift, k)),
-            frobenius_drift=d.frobenius_drift,
-            partial_trace_violation=float(_ldexp(d.partial_trace_violation, k)),
-        ),
-        stats=res.stats,
+        converged=flow.converged,
+        snapshots=[(ell, unscale(rows)) for ell, rows in zip(config.snapshot_ells, snaps)],
+        diagnostics=report,
+        stats=FlowStats(flow.n_rhs, flow.n_accepted, flow.n_rejected, flow.n_tasks,
+                        flow.n_deflations, flow.n_exact, flow.n_jumps),
     )
 
 

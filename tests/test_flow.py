@@ -1191,8 +1191,7 @@ SPAN = math.log(1e-10 / 2.0**-53)  # one jump at the default rel_tol, times s
 
 def jumps_pay_at_start(rows):
     """The choice of a sign-flow block with rows that has not stepped yet."""
-    state = flow._State(rows.ravel(), rows.shape[1])
-    return flow._jumps_pay(state, SPAN, flow._STEP_RATE / flow._coupling_rate(rows))
+    return flow._jumps_pay(flow._State(rows.ravel(), rows.shape[1]), SPAN)
 
 
 def assert_jumps_match_stepper(h):
@@ -1420,11 +1419,12 @@ class TestLandingChecks:
             return  # no coupling: a block like this is never asked
         state = flow._State(rows.ravel(), rows.shape[1])
         r = flow._coupling_rate(rows)
-        rate = f * SPAN * r / (state.spread() * flow._jump_cost(rows, SPAN))
-        full = flow._jumps_pay(state, SPAN, rate / r)
-        if flow._jumps_pay(state, SPAN, rate / (4.0 * float(off.max()))):
+        cost = (rows.shape[1] / flow._JUMP_ROWS) ** 3 * 4.0 / rows.shape[0]
+        rate = f * SPAN * r / (state.spread() * cost)
+        full = flow._jumps_pay(state, SPAN, step=rate / r)
+        if flow._jumps_pay(state, SPAN, step=rate / (4.0 * float(off.max()))):
             assert full
-        assert flow._jumps_pay_at_rate(state, SPAN, rate) == full
+        assert flow._jumps_pay(state, SPAN, rate=rate) == full
 
     @settings(max_examples=200, deadline=None)
     @given(rows=extreme_rows())
@@ -1440,7 +1440,8 @@ class TestLandingChecks:
 
 class TestQRJumps:
     """Sign-flow blocks of 3 or more rows jump or step as their own state
-    makes cheaper; at the default rel_tol, blocks of 3 to 32 rows jump."""
+    makes cheaper; at the default rel_tol, a block of 3 to 32 rows whose
+    couplings connect it jumps if no stepper ran in its history."""
 
     @settings(max_examples=25, deadline=None)
     @given(h=structured_banded(32, 4, n_min=3))
@@ -1473,22 +1474,40 @@ class TestQRJumps:
         calls = []
         pay = flow._jumps_pay
 
-        def spy(state, span, step):
-            calls.append((state.rows.copy(), step, pay(state, span, step)))
-            return calls[-1][2]
+        def spy(state, span, step=None, rate=flow._STEP_RATE):
+            calls.append((state.rows.copy(), step, rate, pay(state, span, step, rate)))
+            return calls[-1][3]
 
         monkeypatch.setattr(flow, "_jumps_pay", spy)
         h = random_banded(0, 128, 2)  # one block throughout (see the test after next)
         integrate_flow(h, FlowConfig(convergence_tol=1e-30, ell_max=64.0 / gershgorin_spread(h)))
-        assert not calls[0][2]
-        k = next(i for i, c in enumerate(calls) if c[2])  # the stepper hands over
+        assert calls[0][1:3] == (None, flow._STEP_RATE) and not calls[0][3]
+        k = next(i for i, c in enumerate(calls) if c[3])  # the stepper hands over
         rows, step = calls[k][:2]
         rate = step * flow._coupling_rate(rows)
         assert rate != flow._STEP_RATE
-        # the block switches in place and next decides at its first landing
+        # the block switches in place and next decides at its first landing,
+        # at the step rate / r that it predicts from its landed rows
         landed = calls[k + 1][0]
         assert not np.array_equal(landed, rows)
-        assert calls[k + 1][1] == rate / flow._coupling_rate(landed)
+        assert calls[k + 1][1:3] == (None, rate)
+        assert calls[k + 1][3] == pay(flow._State(landed.ravel(), landed.shape[1]), SPAN,
+                                      step=rate / flow._coupling_rate(landed))
+
+    def test_pieces_carry_the_step_rate(self):
+        # pieces split off a stepping block judge jumps by its h r, not by the
+        # guess: the 64-row chain takes 12 jumps, and 26 under the guess
+        h = spinboson_chain(64, delta=3.0)
+        stats = integrate_flow(h).stats
+        assert stats.n_tasks >= 1 and stats.n_deflations >= 1
+        assert 1 <= stats.n_jumps <= 16
+
+    def test_scans_judge_by_the_mean_step(self):
+        # a random tridiagonal of 128 rows sits near the crossover: judged by
+        # the stepper's next step alone, its dips hand blocks over to jumps
+        # and back, and the flow builds 12 steppers, not 5
+        stats = integrate_flow(random_banded([0, 128, 1], 128, 1)).stats
+        assert 1 <= stats.n_tasks <= 8
 
     def test_chain_hands_jumps_to_steps(self):
         # nothing deflates, so one block flows throughout: it jumps while
