@@ -409,11 +409,11 @@ def _jumps_pay(state: _State, span: float, step: float | None = None,
     block's Gershgorin spread s and step h, reach the price of a jump,
     (N / 48)^3 * 4 / (M + 1) steps (_JUMP_ROWS = 48).  A stepping block
     passes the step it judges by, the longer of its stepper's next step
-    and the mean step of its run so far.  Any other block passes its rate,
-    the h r of its last stepper (see :meth:`_Block.carry`) or, if none has
-    run, the guess _STEP_RATE (DOP853 kept h r at 0.37 to 0.80 over the
-    scans of flows that only step), and h is rate / r for r its
-    :func:`_coupling_rate`.  In this order:
+    and the mean step of its run so far.  Any other block passes its rate:
+    the h r of its last stepper at the hand-over or split that dropped it
+    or, if none has run, the guess _STEP_RATE (DOP853 kept h r at 0.37 to
+    0.80 over the scans of flows that only step), and h is rate / r for r
+    its :func:`_coupling_rate`.  In this order:
     - the cap: a block too large for a jump to pay at _STEP_RATE / (2 s),
       the shortest step the guess predicts (r <= 2 s), steps whatever its
       step, and s and r are not computed: above about 160 to 200 rows;
@@ -644,10 +644,10 @@ class _State:
     are taken when first asked for: a jump reads its span and shift from
     them, a deflation scan its ordering test, and the choice between jumps
     and steps the spread.  expms holds the exponentials that jumps from y
-    computed (see :func:`_qr_jump`).
+    computed (see :func:`_qr_jump`), and cuts its deflation scan.
     """
 
-    __slots__ = ("y", "rows", "diag_sq", "off_sq", "expms", "_edges")
+    __slots__ = ("y", "rows", "diag_sq", "off_sq", "expms", "cuts", "_edges")
 
     def __init__(self, y: np.ndarray, nb: int):
         self.y = y
@@ -655,6 +655,7 @@ class _State:
         self.diag_sq = float(np.dot(y[:nb], y[:nb]))
         self.off_sq = _off_sq(y, nb)
         self.expms: dict = {}
+        self.cuts: list[int] | None = None
         self._edges = None
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -677,10 +678,10 @@ class _BandedFlow:
     one :class:`_Block` per block, and 2x2 blocks flow in closed form.  A
     larger block advances in one loop, one exact QR jump or one DOP853
     step a pass, as :func:`_jumps_pay` chooses.  It switches in place: a
-    stepper that hands over to jumps is dropped (see :meth:`_Block.carry`),
-    and a block that hands back to steps builds a new stepper that starts
-    at the dropped one's step.  Under the automatic
-    ell_max a 2x2 block runs to its convergence ell even past the cap.
+    stepper that hands over to jumps is dropped, and a block that hands
+    back to steps builds a new stepper that starts at the dropped one's
+    step (see :class:`_Block`).  Under the automatic ell_max a 2x2 block
+    runs to its convergence ell even past the cap.
     Wegner's generator, whose input arrives widened to M = N - 1,
     integrates the whole matrix as one undeflated system, never scanned.
 
@@ -701,12 +702,13 @@ class _BandedFlow:
     step that does.  Before the first jump of a run and after each one,
     ell_max included, the block is checked for convergence, then scanned
     for deflation; a stepping block's scan comes every _DEFLATE_EVERY
-    steps, before its convergence check.  A landing that may deflate where
-    the flow is growing a coupling is bisected back: each bisection jumps
-    half of the step that remains to the landing, exactly, so one from the
-    landing's own origin reuses an exponential that the landing's jump
-    kept (see :func:`_qr_jump`).  ell_final of a jumped block is the
-    landing ell of its first converged jump.
+    steps, before its convergence check; no state is scanned twice (see
+    :meth:`_Block.cuts`).  A landing that may deflate where the flow is
+    growing a coupling is bisected back: each bisection jumps half of the
+    step that remains to the landing, exactly, so one from the landing's
+    own origin reuses an exponential that the landing's jump kept (see
+    :func:`_qr_jump`).  ell_final of a jumped block is the landing ell of
+    its first converged jump.
     """
 
     def __init__(self, h0: BandedSymmetricMatrix, config: FlowConfig):
@@ -767,19 +769,18 @@ class _BandedFlow:
         self.converged = self.converged and converged
 
     def _push_blocks(self, tasks: deque, rows: np.ndarray, start: int, cuts, ell: float,
-                     h: float | None, rate: float = _STEP_RATE) -> None:
+                     parent: _Block | None = None) -> None:
         """Queue the blocks between cuts that have 2 or more rows and are not
-        converged; nothing may couple across a cut."""
+        converged, with parent's step history; nothing may couple across a cut."""
         edges = [0, *cuts, rows.shape[1]]
         for lo, hi in zip(edges[:-1], edges[1:]):
             if hi - lo > 1:
                 block = rows[: hi - lo, lo:hi].copy()
                 if _off_sq(block.ravel(), hi - lo) > self.conv_off_sq:
-                    tasks.append(_Block(self, start + lo, block, ell, h, rate))
+                    tasks.append(_Block(self, start + lo, block, ell, parent))
 
-    def _split(self, tasks: deque, start: int, e: np.ndarray, cuts, ell: float,
-               h: float | None, rate: float) -> None:
-        """Deflate the block with rows e at cuts, write it and queue its pieces."""
+    def _split(self, tasks: deque, parent: _Block, e: np.ndarray, cuts, ell: float) -> None:
+        """Deflate parent's rows e at cuts, write them at ell and queue the pieces."""
         # Zero every coupling that crosses a cut: slot (k, c) does when
         # c + k reaches the end of the sub-block holding c.
         edges = [0, *cuts, e.shape[1]]
@@ -791,8 +792,8 @@ class _BandedFlow:
         )
         e[crossing] = 0.0
         self.n_deflations += len(cuts)
-        self._finish(start, e, ell, True)  # the queued pieces overwrite theirs
-        self._push_blocks(tasks, e, start, cuts, ell, h, rate)
+        self._finish(parent.start, e, ell, True)  # the queued pieces overwrite theirs
+        self._push_blocks(tasks, e, parent.start, cuts, ell, parent)
 
     def _deflation_cuts(self, state: _State) -> list[int]:
         """Boundaries of the block in state that may be zeroed now without
@@ -842,7 +843,7 @@ class _BandedFlow:
         # regenerates them, so each block flows independently, and a block
         # with no work already stands in final and the snapshots.
         cuts = [] if self.wegner else [b.start for b in split_irreducible(self.h0)[1:]]
-        self._push_blocks(tasks, self.h0.rows(), 0, cuts, 0.0, None)
+        self._push_blocks(tasks, self.h0.rows(), 0, cuts, 0.0)
         while tasks:
             tasks.popleft().run(tasks)
         return self.final, [self.snaps[s] for s in self.snap_ells]
@@ -852,24 +853,25 @@ class _Block:
     """A block of the flow queued at ell: rows start .. start + N_b - 1 of the
     matrix, as its own (M_b+1) x N_b row array.
 
-    h is the step of the last stepper in the block's history, and rate
-    the h r that :func:`_jumps_pay` predicts steps from while the block does
-    not step; :meth:`carry` sets both, and the pieces a block splits into
-    start with its own.  Until a stepper has run, h is None and rate is
-    _STEP_RATE.
+    h is the step of the last stepper in the block's history, kept by
+    :meth:`close_run`, and rate the h r that :func:`_jumps_pay` predicts
+    steps from while the block does not step, set at a hand-over to jumps
+    and at a split of a stepping block; a piece starts with both of its
+    parent's.  Until a stepper has run, h is None and rate is _STEP_RATE.
 
     :meth:`run` flows the block by :meth:`pair` or :meth:`advance`, then
-    cuts it and queues its pieces or writes it where it stops.  The block
-    keeps one per-state cache (:class:`_State`) of the state last measured,
-    the drift of its current run of steps or jumps, and its stepper while
-    it steps or the flow pattern of the run while it jumps.
+    cuts it and queues its pieces or writes it where it stops; :meth:`cuts`
+    judges each state, and scans it at most once.  The block keeps one
+    per-state cache (:class:`_State`) of the state last measured, the drift
+    of its current run of steps or jumps, and its stepper while it steps or
+    the flow pattern of the run while it jumps.
     """
 
     def __init__(self, flow: _BandedFlow, start: int, rows: np.ndarray, ell: float,
-                 h: float | None, rate: float):
+                 parent: _Block | None):
         self.flow, self.start, self.rows, self.ell = flow, start, rows, ell
         self.mb, self.nb = rows.shape[0] - 1, rows.shape[1]
-        self.h, self.rate = h, rate
+        self.h, self.rate = (None, _STEP_RATE) if parent is None else (parent.h, parent.rate)
         self.last = self.stepper = self.pattern = None
 
     def run(self, tasks: deque) -> None:
@@ -884,18 +886,22 @@ class _Block:
         else:
             ell, y, cuts = self.advance(y)
         e = y.reshape(self.rows.shape)
-        if cuts and self.stepper is not None:  # the pieces start at its step
-            self.carry(self.stepper.h, e)
+        if cuts and self.stepper is not None:  # the pieces judge by its h r
+            self.rate = self.stepper.h * _coupling_rate(e)
         self.close_run(y)
         if cuts:
-            flow._split(tasks, self.start, e, cuts, ell, self.h, self.rate)
+            flow._split(tasks, self, e, cuts, ell)
         else:
             flow._finish(self.start, e, ell, self.measured(y).off_sq <= flow.conv_off_sq)
 
-    def carry(self, step: float, rows: np.ndarray) -> None:
-        """Keep the stepper's step as h, and step times the coupling rate of
-        rows as rate, for the jumps that follow and the pieces of a split."""
-        self.h, self.rate = self.stepper.h, step * _coupling_rate(rows)
+    def cuts(self, state: _State, scan: bool = False) -> list[int]:
+        """Where state may be cut, by one scan kept on it: nowhere if it is
+        converged, unless scan is set (a stepping block scans first)."""
+        if not scan and state.off_sq <= self.flow.conv_off_sq:
+            return []
+        if state.cuts is None:
+            state.cuts = self.flow._deflation_cuts(state)
+        return state.cuts
 
     def measured(self, y: np.ndarray) -> _State:
         """The state y, measured once while it is the last one asked for."""
@@ -931,6 +937,7 @@ class _Block:
             flow.n_rhs += self.stepper.n_rhs
             flow.n_accepted += self.stepper.n_accepted
             flow.n_rejected += self.stepper.n_rejected
+            self.h = self.stepper.h  # where the next stepper, or a piece's, starts
             self.stepper = None  # it calls back into this block: free it now, not at a gc
         report.trace_drift += self.max_tr
         report.frobenius_drift += self.max_fr / max(flow.frob0_sq, 1e-300)
@@ -960,8 +967,7 @@ class _Block:
                 self.track(snap)
                 flow._write(flow.snaps[s], self.start, snap.reshape(2, 2))
         self.track(y)
-        converged = self.measured(y).off_sq <= flow.conv_off_sq
-        return end, y, [] if converged else flow._deflation_cuts(self.measured(y))
+        return end, y, self.cuts(self.measured(y))
 
     def advance(self, y: np.ndarray) -> tuple[float, np.ndarray, list[int]]:
         """Flow a block of 3 or more rows, or a Wegner flow, from its state y
@@ -977,8 +983,7 @@ class _Block:
             converged = state.off_sq <= flow.conv_off_sq
             stepper = self.stepper
             if stepper is None:  # a run of jumps starts, or a jump landed
-                if ell == run_ell:  # the run starts: judge y (a jump judges its landing)
-                    cuts = [] if converged else flow._deflation_cuts(state)
+                cuts = self.cuts(state)
                 if converged or cuts or ell >= flow.ell_max:
                     return ell, y, cuts
                 if ell > run_ell and not _jumps_pay(state, flow.span, rate=self.rate):
@@ -988,13 +993,13 @@ class _Block:
             elif (not flow.wegner and stepper.n_accepted > 0
                   and stepper.n_accepted % _DEFLATE_EVERY == 0):
                 # a scan, every _DEFLATE_EVERY steps: cuts, then the choice
-                cuts = flow._deflation_cuts(state)
+                cuts = self.cuts(state, scan=True)
                 if cuts:
                     return ell, y, cuts
                 # judged by the mean step too (see _jumps_pay)
                 step = max(stepper.h, (ell - run_ell) / stepper.n_accepted)
                 if _jumps_pay(state, flow.span, step):
-                    self.carry(step, state.rows)
+                    self.rate = step * _coupling_rate(state.rows)
                     self.close_run(y)
                     self.jump_from(y)
                     run_ell = ell
@@ -1007,9 +1012,8 @@ class _Block:
                     self.stepper.step(t_cap)
                     ell, y = self.stepper.t, self.stepper.y
                 else:
-                    origin = state
-                    landing = self.jump(origin, ell, t_cap)
-                    if landing[3] and _has_unsorted_pair(self.measured(landing[1]).rows):
+                    end, landing, rest = self.jump(state, ell, t_cap)
+                    if self.cuts(landing) and _has_unsorted_pair(landing.rows):
                         # Deflatable at the landing, where the flow is growing
                         # a coupling (an unsorted pair; every other one
                         # shrinks): bisect back, to within a quarter of the
@@ -1018,17 +1022,15 @@ class _Block:
                         # rest is the step from ell to the landing; each
                         # bisection jumps half of it, so a jump from the
                         # landing's own origin finds its exponential kept.
-                        rest = landing[2]
                         for _ in range(_JUMP_BISECTIONS):
                             rest *= 0.5
-                            mid = self.jump(origin, ell, landing[0], rest)
-                            if mid[3] or self.measured(mid[1]).off_sq <= flow.conv_off_sq:
-                                landing = mid
-                            else:
-                                ell, y = mid[:2]
-                                origin = self.measured(y)
+                            mid_ell, mid, _ = self.jump(state, ell, end, rest)
+                            if self.cuts(mid) or mid.off_sq <= flow.conv_off_sq:
+                                end, landing = mid_ell, mid
+                            else:  # the origin moves forward
+                                ell, state, y = mid_ell, mid, mid.y
                                 self.track(y)
-                    ell, y, _, cuts = landing
+                    ell, y, self.last = end, landing.y, landing
             except StepSizeUnderflow as exc:
                 raise StiffFlowError(ell, self.frob(y) ** 2, self.measured(y).off_sq) from exc
             self.track(y)
@@ -1050,11 +1052,10 @@ class _Block:
                         np.flatnonzero(dropped))
 
     def jump(self, state: _State, ell: float, t_cap: float,
-             dl: float | None = None) -> tuple[float, np.ndarray, float, list[int]]:
+             dl: float | None = None) -> tuple[float, _State, float]:
         """Land one jump from state at ell, of dl (default: one span,
         span / s) or at t_cap if that comes first; returns the landing ell,
-        the landing state's y, the step taken and where the landing may be
-        cut (nowhere if it is converged)."""
+        the landing state and the step taken."""
         flow, cfg = self.flow, self.flow.config
         slots, upper, lower, dropped = self.pattern
         h = np.zeros(self.nb * self.nb)
@@ -1079,9 +1080,7 @@ class _Block:
         flow.n_jumps += 1
         y = np.zeros_like(state.y)
         y[slots] = g.take(upper)
-        landed = self.measured(y)
-        cuts = [] if landed.off_sq <= flow.conv_off_sq else flow._deflation_cuts(landed)
-        return (t_cap if clipped else ell + step), y, step, cuts
+        return (t_cap if clipped else ell + step), self.measured(y), step
 
     def step_from(self, ell: float, y: np.ndarray) -> None:
         """Start a run of steps at ell from y with a new stepper, which starts

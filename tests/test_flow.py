@@ -698,6 +698,25 @@ class TestScaleAndStats:
         assert res.converged
         assert len(calls) == scans
 
+    @pytest.mark.parametrize("args", [
+        ([0, 128, 2], 128, 2),  # a block hands over from steps to jumps
+        (0, 60, 3), (1, 60, 3), (0, 200, 1),  # the sign flows above
+    ])
+    def test_no_state_is_scanned_twice(self, monkeypatch, args):
+        # a state keeps its scan, so a block that hands over from steps to
+        # jumps judges the state its last scan judged without a second scan
+        states = []
+        cuts = flow._BandedFlow._deflation_cuts
+
+        def spy(self, state):
+            states.append(state)  # kept alive, so no later state takes its id
+            return cuts(self, state)
+
+        monkeypatch.setattr(flow._BandedFlow, "_deflation_cuts", spy)
+        assert integrate_flow(random_banded(*args)).converged
+        rescanned = len(states) - len({id(s) for s in states})
+        assert states and rescanned == 0
+
     def test_stencil_compiles_at_most_a_program_per_stage_row(self, monkeypatch):
         # a stepper calls its stencil on one argument buffer and 13 stage
         # rows, so no stencil compiles more than 13 programs
@@ -1580,6 +1599,51 @@ class TestQRJumps:
         for (_e, m), want in zip(res.snapshots[1:3], ref):
             np.testing.assert_allclose(m.rows(), want, rtol=0.0, atol=1e-12)
         assert np.array_equal(res.snapshots[3][1].rows(), res.final.rows())
+
+
+def wilkinson_plus(m):
+    """W_{2m+1}^+: diagonal |m - i| for i = 0..2m, unit couplings."""
+    n = 2 * m + 1
+    return BandedSymmetricMatrix(n, 1, [np.abs(m - np.arange(n)).astype(float), np.ones(n - 1)])
+
+
+def glued_wilkinson(coupling, copies=5):
+    """copies of W21+ end to end, each joined to the next by coupling."""
+    w = wilkinson_plus(10)
+    off = np.append(w.band(1), coupling)
+    return BandedSymmetricMatrix(w.dim * copies, 1, [np.tile(w.band(0), copies),
+                                                     np.tile(off, copies)[:-1]])
+
+
+def graded_chain(n=40):
+    """Diagonal 2^-i and couplings 2^-i / 2: eigenvalues over 12 decades."""
+    scale = 2.0 ** -np.arange(n)
+    return BandedSymmetricMatrix(n, 1, [scale, 0.5 * scale[:-1]])
+
+
+class TestHardInputs:
+    """Classic hard inputs for eigensolvers (Wilkinson matrices, glued
+    copies of them: Dhillon, Parlett & Vomel 2005; a graded chain).  A flow
+    that reports converged meets acceptance criterion 02: every eigenvalue
+    within 1e-7 max|lambda| of eigvalsh."""
+
+    @pytest.mark.parametrize("h,must_converge", [
+        (wilkinson_plus(10), True),
+        (wilkinson_plus(50), True),
+        # the glue lies below the Weyl budget, but the copies' spectra
+        # overlap, so no ordered cut exists there; these may report
+        # converged=False
+        (glued_wilkinson(1e-10), False),
+        (glued_wilkinson(1e-14), False),
+        (graded_chain(), False),
+    ], ids=["W21+", "W101+", "glued-1e-10", "glued-1e-14", "graded-40"])
+    def test_converged_meets_the_contract(self, h, must_converge):
+        res = integrate_flow(h)
+        assert res.converged or not must_converge
+        if res.converged:
+            ref = np.linalg.eigvalsh(h.to_dense())
+            err = np.max(np.abs(np.sort(res.final.diagonal()) - ref))
+            assert err <= 1e-7 * np.max(np.abs(ref))
 
 
 class TestDecayRate:
